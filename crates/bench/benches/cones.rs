@@ -24,7 +24,7 @@ fn bench_cones(c: &mut Criterion) {
         // in the real pipeline — cone sizing is part of the measured work.
         let prefixes = &topo.ground_truth.prefixes;
         group.bench_with_input(BenchmarkId::new("recursive", name), rels, |b, rels| {
-            b.iter(|| black_box(CustomerCones::recursive(rels, Some(prefixes))))
+            b.iter(|| black_box(CustomerCones::recursive(rels, Some(prefixes), Parallelism::auto())))
         });
         // The pre-rewrite HashSet closure — the baseline the bitset
         // implementation is measured against (acceptance: ≥ 3× faster).
@@ -45,7 +45,7 @@ fn bench_cones(c: &mut Criterion) {
             &(&arena, rels),
             |b, (arena, rels)| {
                 b.iter(|| {
-                    black_box(CustomerCones::bgp_observed_from_arena(
+                    black_box(CustomerCones::bgp_observed(
                         arena,
                         rels,
                         None,
@@ -59,7 +59,7 @@ fn bench_cones(c: &mut Criterion) {
             &(&arena, rels),
             |b, (arena, rels)| {
                 b.iter(|| {
-                    black_box(CustomerCones::provider_peer_observed_from_arena(
+                    black_box(CustomerCones::provider_peer_observed(
                         arena,
                         rels,
                         None,

@@ -170,8 +170,8 @@ fn bench_scale(c: &mut Criterion) {
     group.finish();
 
     // Blocked vs full-width pair merge on identical 42k raw pairs (the
-    // `scale_blocked_sweep_speedup` gate), plus the whole cone build
-    // through both merges for the end-to-end view.
+    // `scale_blocked_sweep_speedup` gate), plus the whole BGP-observed
+    // cone build for the end-to-end view.
     let (paths, icfg) = fixture_42k.expect("42k tier is in TIERS");
     let inference = infer(&paths, &icfg);
     let rels = &inference.relationships;
@@ -198,18 +198,7 @@ fn bench_scale(c: &mut Criterion) {
     });
     group.bench_function(BenchmarkId::new("cone_blocked", "42k"), |b| {
         b.iter(|| {
-            black_box(CustomerCones::bgp_observed_from_arena_with_block(
-                &arena,
-                rels,
-                None,
-                Parallelism::auto(),
-                0,
-            ))
-        })
-    });
-    group.bench_function(BenchmarkId::new("cone_unblocked", "42k"), |b| {
-        b.iter(|| {
-            black_box(CustomerCones::bgp_observed_from_arena_unblocked(
+            black_box(CustomerCones::bgp_observed(
                 &arena,
                 rels,
                 None,

@@ -212,24 +212,17 @@ fn bench_json(input: &str, output: &str) -> i32 {
     }
 
     // PR8 cache-blocking acceptance: the blocked pair merge against the
-    // full-width counting sort on identical 42k raw pairs, and the same
-    // comparison over the whole cone build (merge + shared scan and
-    // materialization, so the end-to-end win is on record too).
-    for (family, fast, slow) in [
-        ("scale_blocked_sweep_speedup", "merge_blocked/42k", "merge_unblocked/42k"),
-        ("scale_blocked_cone_speedup", "cone_blocked/42k", "cone_unblocked/42k"),
-    ] {
-        if let (Some(slow_ns), Some(fast_ns)) = (
-            median("scale_sweep", slow),
-            median("scale_sweep", fast),
-        ) {
-            if fast_ns > 0.0 {
-                ratios.push(format!(
-                    "{{\"name\":\"{family}/42k\",\
-                     \"baseline\":\"unblocked\",\"ratio\":{:.2}}}",
-                    slow_ns / fast_ns
-                ));
-            }
+    // full-width counting sort on identical 42k raw pairs.
+    if let (Some(slow_ns), Some(fast_ns)) = (
+        median("scale_sweep", "merge_unblocked/42k"),
+        median("scale_sweep", "merge_blocked/42k"),
+    ) {
+        if fast_ns > 0.0 {
+            ratios.push(format!(
+                "{{\"name\":\"scale_blocked_sweep_speedup/42k\",\
+                 \"baseline\":\"unblocked\",\"ratio\":{:.2}}}",
+                slow_ns / fast_ns
+            ));
         }
     }
 

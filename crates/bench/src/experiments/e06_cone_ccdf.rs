@@ -4,6 +4,7 @@
 use crate::harness::{Scale, Scenario, Workbench};
 use crate::sanitized;
 use crate::table::{pct, Table};
+use asrank_types::Parallelism;
 use asrank_core::cone::ConeSets;
 
 /// Produce the E6 report: CCDF points and quantiles per definition.
@@ -14,6 +15,7 @@ pub fn run(scale: Scale, seed: u64) -> String {
         &clean,
         &wb.inference.relationships,
         Some(&wb.topo.ground_truth.prefixes),
+        Parallelism::auto(),
     );
 
     let defs: [(&str, &asrank_core::CustomerCones); 3] = [

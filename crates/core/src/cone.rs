@@ -18,6 +18,16 @@
 //! Cones are measured in three units: member ASes, originated prefixes,
 //! and originated address space.
 //!
+//! ## API
+//!
+//! One call per flavour, each taking an explicit [`Parallelism`] (the
+//! output is identical for every value): [`CustomerCones::recursive`]
+//! over a relationship map, [`CustomerCones::bgp_observed`] and
+//! [`CustomerCones::provider_peer_observed`] over a prebuilt
+//! [`PathArena`], and [`ConeSets::compute`] for all three from sanitized
+//! paths. The three `*_reference` constructors are the slow oracles the
+//! property tests and benchmarks compare against.
+//!
 //! ## Representation and performance
 //!
 //! All three computations run over **dense ids** from a bulk-built
@@ -42,8 +52,11 @@
 //! The two path-observed cones run over the shared [`PathArena`] as a
 //! **single deterministic parallel sweep**: worker shards scan
 //! contiguous ranges of the arena's distinct paths once, emit packed
-//! `(cone-root, member)` pairs, and a sort+dedup merge builds the flat
-//! member sets — bit-identical for every thread count. The pre-arena
+//! `(cone-root, member)` pairs, and a cache-blocked merge
+//! ([`merge_sweep_pairs_blocked`]) dedups and sorts them into the flat
+//! member sets — bit-identical for every thread count. The full-width
+//! counting-sort merge survives as [`merge_sweep_pairs_unblocked`], the
+//! blocked merge's oracle and benchmark baseline. The pre-arena
 //! per-AS-rescan engines survive as
 //! [`CustomerCones::bgp_observed_reference`] /
 //! [`CustomerCones::provider_peer_observed_reference`], the proptest
@@ -102,42 +115,21 @@ pub struct ConeSets {
 }
 
 impl ConeSets {
-    /// Compute all three definitions.
+    /// Compute all three definitions over one shared [`PathArena`]: both
+    /// observed cones read the same interned, deduplicated paths. The
+    /// result is identical for every `par` value.
     pub fn compute(
         sanitized: &SanitizedPaths,
         rels: &RelationshipMap,
         prefixes: Option<&HashMap<Asn, Vec<Ipv4Prefix>>>,
-    ) -> Self {
-        Self::compute_with(sanitized, rels, prefixes, Parallelism::auto())
-    }
-
-    /// [`ConeSets::compute`] with an explicit thread budget. The result
-    /// is identical for every `par` value.
-    pub fn compute_with(
-        sanitized: &SanitizedPaths,
-        rels: &RelationshipMap,
-        prefixes: Option<&HashMap<Asn, Vec<Ipv4Prefix>>>,
         par: Parallelism,
     ) -> Self {
-        // One shared arena: both observed cones read the same interned,
-        // deduplicated paths instead of re-parsing them independently.
         let arena = PathArena::build_with(sanitized, par);
-        Self::compute_from_arena(&arena, rels, prefixes, par)
-    }
-
-    /// Compute all three definitions over a prebuilt [`PathArena`]
-    /// (e.g. the one the inference pipeline already constructed).
-    pub fn compute_from_arena(
-        arena: &PathArena,
-        rels: &RelationshipMap,
-        prefixes: Option<&HashMap<Asn, Vec<Ipv4Prefix>>>,
-        par: Parallelism,
-    ) -> Self {
         ConeSets {
-            recursive: CustomerCones::recursive_with(rels, prefixes, par),
-            bgp_observed: CustomerCones::bgp_observed_from_arena(arena, rels, prefixes, par),
-            provider_peer_observed: CustomerCones::provider_peer_observed_from_arena(
-                arena, rels, prefixes, par,
+            recursive: CustomerCones::recursive(rels, prefixes, par),
+            bgp_observed: CustomerCones::bgp_observed(&arena, rels, prefixes, par),
+            provider_peer_observed: CustomerCones::provider_peer_observed(
+                &arena, rels, prefixes, par,
             ),
         }
     }
@@ -312,29 +304,22 @@ impl CustomerCones {
     /// **Recursive cone**: transitive closure of inferred p2c links.
     ///
     /// Cycles (inference errors) are collapsed first so the closure is
-    /// well-defined: every member of a c2p cycle shares one cone.
+    /// well-defined: every member of a c2p cycle shares one cone. The
+    /// result is identical for every `par` value.
     ///
     /// ```
     /// use asrank_core::CustomerCones;
-    /// use asrank_types::{Asn, RelationshipMap};
+    /// use asrank_types::{Asn, Parallelism, RelationshipMap};
     ///
     /// let mut rels = RelationshipMap::new();
     /// rels.insert_c2p(Asn(10), Asn(1));
     /// rels.insert_c2p(Asn(100), Asn(10));
-    /// let cones = CustomerCones::recursive(&rels, None);
+    /// let cones = CustomerCones::recursive(&rels, None, Parallelism::auto());
     /// assert_eq!(cones.size(Asn(1)).ases, 3);   // {1, 10, 100}
     /// assert!(cones.contains(Asn(1), Asn(100)));
     /// assert_eq!(cones.size(Asn(100)).ases, 1); // just itself
     /// ```
     pub fn recursive(
-        rels: &RelationshipMap,
-        prefixes: Option<&HashMap<Asn, Vec<Ipv4Prefix>>>,
-    ) -> Self {
-        Self::recursive_with(rels, prefixes, Parallelism::auto())
-    }
-
-    /// [`CustomerCones::recursive`] with an explicit thread budget.
-    pub fn recursive_with(
         rels: &RelationshipMap,
         prefixes: Option<&HashMap<Asn, Vec<Ipv4Prefix>>>,
         par: Parallelism,
@@ -505,136 +490,35 @@ impl CustomerCones {
     }
 
     /// **BGP-observed cone**: membership requires a witnessed descent.
+    ///
+    /// A single sweep over the [`PathArena`]: worker shards scan
+    /// contiguous path ranges once for maximal descending runs (each run
+    /// puts everything below the top AS into that AS's cone), emit
+    /// packed (cone-root, member) pairs into per-shard buffers, and the
+    /// cache-blocked merge builds the flat member sets — identical for
+    /// every `par` value.
     pub fn bgp_observed(
-        sanitized: &SanitizedPaths,
-        rels: &RelationshipMap,
-        prefixes: Option<&HashMap<Asn, Vec<Ipv4Prefix>>>,
-    ) -> Self {
-        Self::bgp_observed_with(sanitized, rels, prefixes, Parallelism::auto())
-    }
-
-    /// [`CustomerCones::bgp_observed`] with an explicit thread budget.
-    pub fn bgp_observed_with(
-        sanitized: &SanitizedPaths,
-        rels: &RelationshipMap,
-        prefixes: Option<&HashMap<Asn, Vec<Ipv4Prefix>>>,
-        par: Parallelism,
-    ) -> Self {
-        let arena = PathArena::build_with(sanitized, par);
-        Self::bgp_observed_from_arena(&arena, rels, prefixes, par)
-    }
-
-    /// [`CustomerCones::bgp_observed`] over a prebuilt [`PathArena`] —
-    /// the single-sweep engine. Worker shards scan contiguous path
-    /// ranges once for maximal descending runs (each run puts everything
-    /// below the top AS into that AS's cone), emit packed (cone-root,
-    /// member) pairs into per-shard buffers, and a sort+dedup merge
-    /// builds the flat member sets — deterministic for every thread
-    /// count.
-    pub fn bgp_observed_from_arena(
-        arena: &PathArena,
-        rels: &RelationshipMap,
-        prefixes: Option<&HashMap<Asn, Vec<Ipv4Prefix>>>,
-        par: Parallelism,
-    ) -> Self {
-        Self::bgp_observed_from_arena_with_block(arena, rels, prefixes, par, 0)
-    }
-
-    /// [`CustomerCones::bgp_observed_from_arena`] with an explicit
-    /// owner-block width for the pair merge: `0` picks a cache-sized
-    /// width automatically (the default engine path), any other value
-    /// forces that many owner ids per block. Output is bit-identical
-    /// for every width — the knob only moves the merge's working set.
-    pub fn bgp_observed_from_arena_with_block(
-        arena: &PathArena,
-        rels: &RelationshipMap,
-        prefixes: Option<&HashMap<Asn, Vec<Ipv4Prefix>>>,
-        par: Parallelism,
-        block_ids: usize,
-    ) -> Self {
-        let providers = witness_graph(arena, rels, false);
-        let pairs = sweep_pairs_blocked(arena, &providers, par, scan_descents, block_ids);
-        observed_cones(arena, pairs, prefixes, par)
-    }
-
-    /// [`CustomerCones::bgp_observed_from_arena`] forced through the
-    /// pre-PR8 single full-width counting-sort merge. Kept as the
-    /// blocked merge's equivalence oracle and the baseline the `scale`
-    /// benchmark measures the cache-blocked merge against.
-    pub fn bgp_observed_from_arena_unblocked(
         arena: &PathArena,
         rels: &RelationshipMap,
         prefixes: Option<&HashMap<Asn, Vec<Ipv4Prefix>>>,
         par: Parallelism,
     ) -> Self {
         let providers = witness_graph(arena, rels, false);
-        let pairs = sweep_pairs(arena, &providers, par, scan_descents);
-        observed_cones(arena, pairs, prefixes, par)
+        observed_cones(arena, &providers, scan_descents, prefixes, par)
     }
 
     /// **Provider/peer observed cone**: membership requires `x` to have
-    /// been seen announcing the member to a provider or peer.
+    /// been seen announcing the member to a provider or peer. The same
+    /// single sweep as [`CustomerCones::bgp_observed`], over the
+    /// announcement predicate.
     pub fn provider_peer_observed(
-        sanitized: &SanitizedPaths,
-        rels: &RelationshipMap,
-        prefixes: Option<&HashMap<Asn, Vec<Ipv4Prefix>>>,
-    ) -> Self {
-        Self::provider_peer_observed_with(sanitized, rels, prefixes, Parallelism::auto())
-    }
-
-    /// [`CustomerCones::provider_peer_observed`] with an explicit thread
-    /// budget.
-    pub fn provider_peer_observed_with(
-        sanitized: &SanitizedPaths,
-        rels: &RelationshipMap,
-        prefixes: Option<&HashMap<Asn, Vec<Ipv4Prefix>>>,
-        par: Parallelism,
-    ) -> Self {
-        let arena = PathArena::build_with(sanitized, par);
-        Self::provider_peer_observed_from_arena(&arena, rels, prefixes, par)
-    }
-
-    /// [`CustomerCones::provider_peer_observed`] over a prebuilt
-    /// [`PathArena`] — the single-sweep engine (see
-    /// [`CustomerCones::bgp_observed_from_arena`] for the merge
-    /// strategy).
-    pub fn provider_peer_observed_from_arena(
-        arena: &PathArena,
-        rels: &RelationshipMap,
-        prefixes: Option<&HashMap<Asn, Vec<Ipv4Prefix>>>,
-        par: Parallelism,
-    ) -> Self {
-        Self::provider_peer_observed_from_arena_with_block(arena, rels, prefixes, par, 0)
-    }
-
-    /// [`CustomerCones::provider_peer_observed_from_arena`] with an
-    /// explicit owner-block width for the pair merge (`0` = auto; see
-    /// [`CustomerCones::bgp_observed_from_arena_with_block`]).
-    pub fn provider_peer_observed_from_arena_with_block(
-        arena: &PathArena,
-        rels: &RelationshipMap,
-        prefixes: Option<&HashMap<Asn, Vec<Ipv4Prefix>>>,
-        par: Parallelism,
-        block_ids: usize,
-    ) -> Self {
-        let graphs = witness_graph(arena, rels, true);
-        let pairs = sweep_pairs_blocked(arena, &graphs, par, scan_announcements, block_ids);
-        observed_cones(arena, pairs, prefixes, par)
-    }
-
-    /// [`CustomerCones::provider_peer_observed_from_arena`] forced
-    /// through the pre-PR8 full-width merge (equivalence oracle and
-    /// bench baseline; see
-    /// [`CustomerCones::bgp_observed_from_arena_unblocked`]).
-    pub fn provider_peer_observed_from_arena_unblocked(
         arena: &PathArena,
         rels: &RelationshipMap,
         prefixes: Option<&HashMap<Asn, Vec<Ipv4Prefix>>>,
         par: Parallelism,
     ) -> Self {
         let graphs = witness_graph(arena, rels, true);
-        let pairs = sweep_pairs(arena, &graphs, par, scan_announcements);
-        observed_cones(arena, pairs, prefixes, par)
+        observed_cones(arena, &graphs, scan_announcements, prefixes, par)
     }
 
     /// The pre-arena BGP-observed computation: per-call interner build,
@@ -745,8 +629,9 @@ fn witness_graph(arena: &PathArena, rels: &RelationshipMap, include_peers: bool)
 /// ranges of the arena once, emitting packed `(owner << 32) | member`
 /// pairs into per-shard buffers, concatenated in shard order. The
 /// result is unsorted and duplicate-bearing — it feeds one of the two
-/// merges below, and shard order is deterministic, so the merged output
-/// is independent of both path order and thread count.
+/// merges below (the engine uses [`merge_sweep_pairs_blocked`]), and
+/// shard order is deterministic, so the merged output is independent of
+/// both path order and thread count.
 fn raw_sweep_pairs<F>(arena: &PathArena, witness: &Csr, par: Parallelism, scan: F) -> Vec<u64>
 where
     F: Fn(&[u32], &Csr, &mut dyn FnMut(u32, u32)) + Sync,
@@ -761,34 +646,6 @@ where
         local
     })
     .concat()
-}
-
-/// The single parallel sweep with the pre-PR8 merge: one full-width
-/// counting sort over the whole pair list, then dedup.
-fn sweep_pairs<F>(arena: &PathArena, witness: &Csr, par: Parallelism, scan: F) -> Vec<u64>
-where
-    F: Fn(&[u32], &Csr, &mut dyn FnMut(u32, u32)) + Sync,
-{
-    let raw = raw_sweep_pairs(arena, witness, par, scan);
-    merge_sweep_pairs_unblocked(&raw, arena.num_ases())
-}
-
-/// [`sweep_pairs`] with the merge replaced by the cache-blocked
-/// per-owner-block counting sort of [`merge_sweep_pairs_blocked`].
-/// `block_ids == 0` sizes blocks automatically from the pair count;
-/// the output is bit-identical to [`sweep_pairs`] for every width.
-fn sweep_pairs_blocked<F>(
-    arena: &PathArena,
-    witness: &Csr,
-    par: Parallelism,
-    scan: F,
-    block_ids: usize,
-) -> Vec<u64>
-where
-    F: Fn(&[u32], &Csr, &mut dyn FnMut(u32, u32)) + Sync,
-{
-    let raw = raw_sweep_pairs(arena, witness, par, scan);
-    merge_sweep_pairs_blocked(&raw, arena.num_ases(), block_ids, par)
 }
 
 /// The descent scan of the BGP-observed sweep, stopped before the
@@ -892,7 +749,7 @@ pub fn merge_sweep_pairs_blocked(
     // Owner-block width: forced, or sized so one block's bitmap fits
     // the cache budget. The automatic width is rounded to a power of
     // two so the hot partition passes divide by shifting; forced widths
-    // (a test/config knob) keep exact ragged boundaries and real
+    // (the equivalence tests' seam) keep exact ragged boundaries and real
     // division.
     let auto_shift = if block_ids == 0 {
         let w = (SWEEP_BLOCK_BITMAP_BYTES * 8 / n.max(1)).clamp(1, n.max(1));
@@ -1065,16 +922,25 @@ fn dedup_from(v: &mut Vec<u64>, from: usize) {
     v.truncate(w);
 }
 
-/// Materialize observed cones from sorted `(owner, member)` pairs:
-/// every observed AS gets the trivial cone of itself plus its collected
-/// members (the same final stage as [`ObservedContext::into_cones`],
-/// reading the interner from the shared arena).
-fn observed_cones(
+/// The observed-cone sweep: scan every distinct path of the arena with
+/// `scan`, merge the raw pairs through the cache-blocked merge at its
+/// automatic width, and materialize the cones — every observed AS gets
+/// the trivial cone of itself plus its collected members (the same final
+/// stage as [`ObservedContext::into_cones`], reading the interner from
+/// the shared arena).
+fn observed_cones<F>(
     arena: &PathArena,
-    pairs: Vec<u64>,
+    witness: &Csr,
+    scan: F,
     prefixes: Option<&HashMap<Asn, Vec<Ipv4Prefix>>>,
     par: Parallelism,
-) -> CustomerCones {
+) -> CustomerCones
+where
+    F: Fn(&[u32], &Csr, &mut dyn FnMut(u32, u32)) + Sync,
+{
+    let raw = raw_sweep_pairs(arena, witness, par, scan);
+    let pairs = merge_sweep_pairs_blocked(&raw, arena.num_ases(), 0, par);
+    drop(raw);
     let interner = arena.interner().clone();
     let n = interner.len();
     let weights = PrefixWeights::build(&interner, prefixes);
@@ -1303,7 +1169,7 @@ fn kahn_order(n: usize, edges: &[(u32, u32)], succ: &Csr) -> Vec<u32> {
 }
 
 /// The shared closure DP + materialization behind
-/// [`CustomerCones::recursive_with`], over an acyclic component graph.
+/// [`CustomerCones::recursive`], over an acyclic component graph.
 ///
 /// `comp_customers` is the provider→customer adjacency of `ncomp`
 /// components in `order` (a topological order, processed in reverse so
@@ -1560,7 +1426,7 @@ mod tests {
 
     #[test]
     fn recursive_cone_closure() {
-        let cones = CustomerCones::recursive(&rels(), None);
+        let cones = CustomerCones::recursive(&rels(), None, Parallelism::auto());
         assert_eq!(cones.members(Asn(1)), &[Asn(1), Asn(10), Asn(100)]);
         assert_eq!(
             cones.members(Asn(2)),
@@ -1579,7 +1445,7 @@ mod tests {
         r.insert_c2p(Asn(2), Asn(3));
         r.insert_c2p(Asn(3), Asn(1)); // cycle 1→2→3→1
         r.insert_c2p(Asn(9), Asn(1)); // 9 below the cycle
-        let cones = CustomerCones::recursive(&r, None);
+        let cones = CustomerCones::recursive(&r, None, Parallelism::auto());
         // All cycle members share one cone containing the cycle + 9.
         for a in [1u32, 2, 3] {
             assert_eq!(
@@ -1601,7 +1467,7 @@ mod tests {
             r.insert_c2p(Asn(9), Asn(1));
             r
         }] {
-            let fast = CustomerCones::recursive(&r, None);
+            let fast = CustomerCones::recursive(&r, None, Parallelism::auto());
             let slow = CustomerCones::recursive_reference(&r, None);
             assert_eq!(fast.len(), slow.len());
             for asn in fast.ases() {
@@ -1622,7 +1488,7 @@ mod tests {
                 "12.0.0.0/23".parse().unwrap(),
             ],
         );
-        let cones = CustomerCones::recursive(&rels(), Some(&prefixes));
+        let cones = CustomerCones::recursive(&rels(), Some(&prefixes), Parallelism::auto());
         let s1 = cones.size(Asn(1)); // cone {1,10,100}
         assert_eq!(s1.prefixes, 3);
         assert_eq!(s1.addresses, 256 + 256 + 512);
@@ -1638,7 +1504,7 @@ mod tests {
         // 20 → 100, so 100 is NOT in 20's BGP-observed cone even though
         // the recursive cone contains it.
         let p = paths(&[&[200, 20, 2, 1, 10, 100]]);
-        let cones = CustomerCones::bgp_observed(&p, &r, None);
+        let cones = CustomerCones::bgp_observed(&p.arena(), &r, None, Parallelism::auto());
         assert!(cones.contains(Asn(1), Asn(100)));
         assert!(cones.contains(Asn(1), Asn(10)));
         assert!(cones.contains(Asn(10), Asn(100)));
@@ -1647,7 +1513,7 @@ mod tests {
         // descent… 2→1 is p2p so the descent run stops at 2.
         assert!(!cones.contains(Asn(2), Asn(100)));
         // Recursive ⊇ BGP-observed.
-        let rec = CustomerCones::recursive(&r, None);
+        let rec = CustomerCones::recursive(&r, None, Parallelism::auto());
         for asn in cones.ases() {
             let obs = cones.members(asn);
             for m in obs {
@@ -1674,7 +1540,7 @@ mod tests {
         //    i=3: x=1, w=2: orientation(1,2)=Peer → cone(1) ⊇ {10,100}. ✓
         //    i=4: x=10, w=1: orientation(10,1)=Provider → cone(10) ⊇ {100}. ✓
         let p = paths(&[&[200, 20, 2, 1, 10, 100]]);
-        let cones = CustomerCones::provider_peer_observed(&p, &r, None);
+        let cones = CustomerCones::provider_peer_observed(&p.arena(), &r, None, Parallelism::auto());
         assert!(cones.contains(Asn(1), Asn(10)));
         assert!(cones.contains(Asn(1), Asn(100)));
         assert!(cones.contains(Asn(10), Asn(100)));
@@ -1685,7 +1551,7 @@ mod tests {
 
     #[test]
     fn largest_reports_biggest_cone() {
-        let cones = CustomerCones::recursive(&rels(), None);
+        let cones = CustomerCones::recursive(&rels(), None, Parallelism::auto());
         let (asn, size) = cones.largest().unwrap();
         assert_eq!(asn, Asn(2));
         assert_eq!(size.ases, 4);
@@ -1693,7 +1559,7 @@ mod tests {
 
     #[test]
     fn bulk_size_iterator_matches_point_lookups() {
-        let cones = CustomerCones::recursive(&rels(), None);
+        let cones = CustomerCones::recursive(&rels(), None, Parallelism::auto());
         let bulk: Vec<(Asn, ConeSize)> = cones.iter_sizes().collect();
         assert_eq!(bulk.len(), cones.len());
         for &(a, s) in &bulk {
@@ -1710,8 +1576,8 @@ mod tests {
     fn thread_counts_do_not_change_results() {
         let r = rels();
         let p = paths(&[&[200, 20, 2, 1, 10, 100], &[100, 10, 1, 2, 20, 200]]);
-        let seq = ConeSets::compute_with(&p, &r, None, Parallelism::sequential());
-        let par = ConeSets::compute_with(&p, &r, None, Parallelism::threads(4));
+        let seq = ConeSets::compute(&p, &r, None, Parallelism::sequential());
+        let par = ConeSets::compute(&p, &r, None, Parallelism::threads(4));
         for (a, b) in [
             (&seq.recursive, &par.recursive),
             (&seq.bgp_observed, &par.bgp_observed),
@@ -1727,7 +1593,7 @@ mod tests {
 
     #[test]
     fn empty_inputs() {
-        let cones = CustomerCones::recursive(&RelationshipMap::new(), None);
+        let cones = CustomerCones::recursive(&RelationshipMap::new(), None, Parallelism::auto());
         assert!(cones.is_empty());
         assert_eq!(cones.size(Asn(7)).ases, 1, "unknown AS has trivial cone");
         assert!(cones.members(Asn(7)).is_empty());

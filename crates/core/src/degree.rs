@@ -10,8 +10,10 @@
 
 use crate::sanitize::SanitizedPaths;
 use asrank_types::prelude::*;
+use asrank_types::FxHashMap;
 use serde::{Deserialize, Serialize};
-use std::collections::{HashMap, HashSet};
+use std::cmp::Reverse;
+use std::collections::HashMap;
 
 /// Per-AS degree information derived from sanitized paths.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -23,48 +25,14 @@ pub struct DegreeTable {
 }
 
 impl DegreeTable {
-    /// Compute degrees over a sanitized dataset.
+    /// Compute degrees over a sanitized dataset: every clean path folded
+    /// into the S2 degree ledger, then emitted in rank order.
     pub fn compute(paths: &SanitizedPaths) -> Self {
-        let mut transit_sets: HashMap<Asn, HashSet<Asn>> = HashMap::new();
-        let mut node_sets: HashMap<Asn, HashSet<Asn>> = HashMap::new();
-
+        let mut ledger = DegreeLedger::default();
         for path in paths.paths() {
-            let hops = &path.0;
-            for (i, &asn) in hops.iter().enumerate() {
-                if i > 0 {
-                    node_sets.entry(asn).or_default().insert(hops[i - 1]);
-                }
-                if i + 1 < hops.len() {
-                    node_sets.entry(asn).or_default().insert(hops[i + 1]);
-                }
-                if i > 0 && i + 1 < hops.len() {
-                    let set = transit_sets.entry(asn).or_default();
-                    set.insert(hops[i - 1]);
-                    set.insert(hops[i + 1]);
-                }
-            }
+            ledger.add(path);
         }
-
-        let transit: HashMap<Asn, usize> = node_sets
-            .keys()
-            .map(|&a| (a, transit_sets.get(&a).map(HashSet::len).unwrap_or(0)))
-            .collect();
-        let node: HashMap<Asn, usize> = node_sets.iter().map(|(&a, s)| (a, s.len())).collect();
-
-        let mut ranked: Vec<Asn> = node.keys().copied().collect();
-        ranked.sort_by(|a, b| {
-            let ta = transit[a];
-            let tb = transit[b];
-            tb.cmp(&ta)
-                .then_with(|| node[b].cmp(&node[a]))
-                .then_with(|| a.cmp(b))
-        });
-
-        DegreeTable {
-            transit,
-            node,
-            ranked,
-        }
+        ledger.emit()
     }
 
     /// Rebuild a table from its canonical serialized form: one
@@ -73,7 +41,7 @@ impl DegreeTable {
     /// by construction, so this is a lossless inverse of walking
     /// [`DegreeTable::ranked`] with the degree accessors — the persistent
     /// artifact codec's decode path. The caller owns the ordering
-    /// invariant; only [`DegreeTable::compute`] establishes it from
+    /// invariant; only the S2 degree ledger's `emit` establishes it from
     /// scratch.
     pub fn from_ranked_entries<I>(entries: I) -> Self
     where
@@ -134,10 +102,190 @@ impl DegreeTable {
     }
 }
 
+/// Refcounted degree evidence — the one S2 implementation, shared by the
+/// cold stage ([`DegreeTable::compute`]) and the incremental session
+/// (`DeltaSession`), which adds and removes paths as update batches
+/// arrive. One counter per *directed* neighbor link `(as, neighbor)`
+/// across the folded paths, split into the two adjacency flavors S2
+/// distinguishes (any position vs. mid-path), plus the per-AS
+/// distinct-neighbor tallies those links induce. Each counter is the
+/// number of times the link occurs across the folded paths, so
+/// [`DegreeLedger::remove`] of a previously added path is exact even when
+/// a path repeats an AS.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct DegreeLedger {
+    node: Links,
+    transit: Links,
+}
+
+/// Refcounted directed links plus the distinct-neighbor count per AS.
+#[derive(Debug, Clone, Default)]
+struct Links {
+    count: FxHashMap<(Asn, Asn), u32>,
+    degree: FxHashMap<Asn, u32>,
+}
+
+impl Links {
+    fn up(&mut self, asn: Asn, neighbor: Asn) {
+        let c = self.count.entry((asn, neighbor)).or_insert(0);
+        *c += 1;
+        if *c == 1 {
+            *self.degree.entry(asn).or_insert(0) += 1;
+        }
+    }
+
+    fn down(&mut self, asn: Asn, neighbor: Asn) {
+        let Some(c) = self.count.get_mut(&(asn, neighbor)) else {
+            return;
+        };
+        *c -= 1;
+        if *c > 0 {
+            return;
+        }
+        self.count.remove(&(asn, neighbor));
+        if let Some(d) = self.degree.get_mut(&asn) {
+            *d -= 1;
+            if *d == 0 {
+                self.degree.remove(&asn);
+            }
+        }
+    }
+
+    fn degree(&self, asn: Asn) -> usize {
+        self.degree.get(&asn).copied().unwrap_or(0) as usize
+    }
+}
+
+impl DegreeLedger {
+    /// Count one path's neighbor links.
+    pub(crate) fn add(&mut self, path: &AsPath) {
+        self.walk(path, Links::up);
+    }
+
+    /// Uncount one path previously passed to [`DegreeLedger::add`].
+    pub(crate) fn remove(&mut self, path: &AsPath) {
+        self.walk(path, Links::down);
+    }
+
+    /// The S2 hop walk: every adjacent pair `(a, b)` links both ways; a
+    /// link counts toward transit degree when its owner sits mid-path.
+    fn walk(&mut self, path: &AsPath, step: fn(&mut Links, Asn, Asn)) {
+        let hops = &path.0;
+        for (i, pair) in hops.windows(2).enumerate() {
+            let (a, b) = (pair[0], pair[1]);
+            step(&mut self.node, a, b);
+            step(&mut self.node, b, a);
+            if i > 0 {
+                step(&mut self.transit, a, b);
+            }
+            if i + 2 < hops.len() {
+                step(&mut self.transit, b, a);
+            }
+        }
+    }
+
+    /// Assemble the degree table from the live counters in `O(V log V)`
+    /// over observed ASes. The observed set is exactly "node degree > 0"
+    /// (a length-1 path contributes no links), ranked by transit degree
+    /// desc, node degree desc, ASN asc — the paper's ordering.
+    pub(crate) fn emit(&self) -> DegreeTable {
+        let mut entries: Vec<(Asn, usize, usize)> = self
+            .node
+            .degree
+            .iter()
+            .map(|(&a, &n)| (a, self.transit.degree(a), n as usize))
+            .collect();
+        // ASNs are unique, so the key is total and the order is fixed
+        // regardless of the hash map's visit order.
+        entries.sort_unstable_by_key(|&(a, t, n)| (Reverse(t), Reverse(n), a));
+        DegreeTable::from_ranked_entries(entries)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::sanitize::{sanitize, SanitizeConfig};
+    use proptest::prelude::*;
+    use std::collections::HashSet;
+
+    /// The set-based S2 definition, independent of the ledger: per AS,
+    /// the distinct neighbors at any path position (node degree) and at
+    /// positions where the AS sits mid-path (transit degree), ranked by
+    /// transit desc, node desc, ASN asc.
+    fn oracle(paths: &[AsPath]) -> DegreeTable {
+        let mut transit_sets: HashMap<Asn, HashSet<Asn>> = HashMap::new();
+        let mut node_sets: HashMap<Asn, HashSet<Asn>> = HashMap::new();
+        for path in paths {
+            let hops = &path.0;
+            for (i, &asn) in hops.iter().enumerate() {
+                let prev = i.checked_sub(1).map(|j| hops[j]);
+                let next = hops.get(i + 1).copied();
+                for nb in prev.into_iter().chain(next) {
+                    node_sets.entry(asn).or_default().insert(nb);
+                }
+                if let (Some(p), Some(n)) = (prev, next) {
+                    transit_sets.entry(asn).or_default().extend([p, n]);
+                }
+            }
+        }
+        let transit = |a: &Asn| transit_sets.get(a).map_or(0, HashSet::len);
+        let mut ranked: Vec<Asn> = node_sets.keys().copied().collect();
+        ranked.sort_by(|a, b| {
+            transit(b)
+                .cmp(&transit(a))
+                .then_with(|| node_sets[b].len().cmp(&node_sets[a].len()))
+                .then_with(|| a.cmp(b))
+        });
+        DegreeTable::from_ranked_entries(
+            ranked
+                .into_iter()
+                .map(|a| (a, transit(&a), node_sets[&a].len())),
+        )
+    }
+
+    fn fold<'p>(paths: impl IntoIterator<Item = &'p AsPath>) -> DegreeLedger {
+        let mut ledger = DegreeLedger::default();
+        for p in paths {
+            ledger.add(p);
+        }
+        ledger
+    }
+
+    /// Random paths over a small ASN universe: length-1 paths and
+    /// repeated ASes (loops, prepending) are common.
+    fn paths_strategy() -> impl Strategy<Value = Vec<AsPath>> {
+        proptest::collection::vec(proptest::collection::vec(1u32..12, 1..6), 0..30)
+            .prop_map(|raw| raw.into_iter().map(AsPath::from_u32s).collect())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+        #[test]
+        fn ledger_fold_matches_set_oracle(paths in paths_strategy()) {
+            prop_assert_eq!(fold(&paths).emit(), oracle(&paths));
+        }
+
+        #[test]
+        fn remove_matches_fresh_fold_of_survivors(
+            paths in paths_strategy(),
+            drop in proptest::collection::vec(any::<bool>(), 30),
+        ) {
+            let mut ledger = fold(&paths);
+            for (p, _) in paths.iter().zip(&drop).filter(|(_, &d)| d) {
+                ledger.remove(p);
+            }
+            let survivors: Vec<AsPath> = paths
+                .iter()
+                .zip(&drop)
+                .filter(|(_, &d)| !d)
+                .map(|(p, _)| p.clone())
+                .collect();
+            let emitted = ledger.emit();
+            prop_assert_eq!(&emitted, &fold(&survivors).emit());
+            prop_assert_eq!(&emitted, &oracle(&survivors));
+        }
+    }
 
     fn table(paths: &[&[u32]]) -> DegreeTable {
         let ps: PathSet = paths

@@ -13,9 +13,9 @@
 //! * maintained `(vp, first hop)` distinct-prefix counters, so S6 —
 //!   the only relationship step that reads raw samples — classifies
 //!   from counters instead of re-scanning every sample;
-//! * a refcounted neighbor-link ledger, so S2 assembles its degree
-//!   table in `O(V log V)` from live counters instead of re-walking
-//!   every hop of every sanitized path.
+//! * the S2 degree ledger — the same one the cold stage folds — kept
+//!   live across batches, so S2 emits its table in `O(V log V)` from
+//!   counters instead of re-folding every clean path.
 //!
 //! Everything else is dirty-set propagation inside the engine
 //! (`Snapshot::delta_run`): a stage whose input aspects are all clean is
@@ -32,17 +32,23 @@
 //! `delta_equivalence` proptests pin this against the [`UpdateBatch::apply`]
 //! oracle.
 //!
+//! Every refresh takes the incremental walk; there is no fall-back to a
+//! cold rebuild. At the 8k tier a cold rebuild measured 1.5–1.8x slower
+//! than the walk even at 20% churn, because the maintained evidence
+//! undercuts the cold S1/S2/arena/S6 scans while every other stage runs
+//! identically.
+//!
 //! [`StageStats::delta_skipped`]: crate::engine::StageStats::delta_skipped
 //! [`StageStats::delta_recomputed`]: crate::engine::StageStats::delta_recomputed
 
 use crate::cone::CustomerCones;
-use crate::degree::DegreeTable;
+use crate::degree::{DegreeLedger, DegreeTable};
 use crate::engine::{stage_idx, Artifact, DeltaPlan, DeltaProvider, Snapshot, StageReport, StepState};
 use crate::patharena::{MutablePathArena, PathArena, PathEvent};
 use crate::pipeline::{steps, Inference, InferenceConfig};
 use crate::sanitize::{sample_fate, SampleFate, SanitizeReport, SanitizedPaths};
 use asrank_types::prelude::*;
-use asrank_types::{EngineError, FxHashMap, FxHashSet, PathDelta, UpdateBatch};
+use asrank_types::{EngineError, FxHashMap, PathDelta, UpdateBatch};
 use std::sync::Arc;
 
 /// What one [`DeltaSession::refresh`] did: how much of the DAG the
@@ -105,9 +111,8 @@ pub struct DeltaSession {
     via: FxHashMap<(Asn, Asn), u32>,
     /// Clean samples per vantage point (the S6 share denominators).
     totals: FxHashMap<Asn, u32>,
-    /// Refcounted neighbor links over the clean paths — S2's evidence,
-    /// so the delta walk assembles the degree table from counters
-    /// instead of re-scanning every sanitized path.
+    /// The S2 ledger over the clean paths, so the delta walk emits the
+    /// degree table from counters instead of re-folding every path.
     degrees: DegreeLedger,
     /// `(vp, prefix)` → position in `master`/`fates`, maintained across
     /// batches so apply touches only the samples a batch names.
@@ -124,12 +129,6 @@ pub struct DeltaSession {
     tok_samples: bool,
     tok_structure: bool,
     tok_mult: bool,
-    /// Distinct `(vp, prefix)` keys mutated since the last refresh —
-    /// the numerator of the dirty fraction that drives the
-    /// [`InferenceConfig::delta_cold_cutover`] decision. A set, not a
-    /// counter, so repeated updates to the same key cannot inflate the
-    /// fraction past the real churn.
-    dirty_keys: FxHashSet<(Asn, Ipv4Prefix)>,
 }
 
 impl DeltaSession {
@@ -190,7 +189,6 @@ impl DeltaSession {
             tok_samples: false,
             tok_structure: false,
             tok_mult: false,
-            dirty_keys: FxHashSet::default(),
         };
         for s in session.master.iter() {
             let fate = sample_fate(&s.path, &session.cfg.sanitize);
@@ -237,7 +235,6 @@ impl DeltaSession {
                     );
                     self.retire(vp, &old)?;
                     self.tok_samples = true;
-                    self.dirty_keys.insert((vp, prefix));
                     // Batches fold by key, so this key cannot recur; drop
                     // it now and fix up the surviving positions after the
                     // compaction below.
@@ -255,14 +252,12 @@ impl DeltaSession {
                     let old = std::mem::replace(&mut self.fates[i], fate);
                     self.retire(vp, &old)?;
                     self.tok_samples = true;
-                    self.dirty_keys.insert((vp, prefix));
                     self.master.samples_mut()[i].path = path.clone();
                 }
                 (None, PathDelta::Announce(path)) => {
                     let fate = sample_fate(path, &self.cfg.sanitize);
                     self.admit(vp, &fate);
                     self.tok_samples = true;
-                    self.dirty_keys.insert((vp, prefix));
                     self.index
                         .insert((vp, prefix), dense_id(self.master.len()));
                     self.master.push(PathSample {
@@ -309,32 +304,6 @@ impl DeltaSession {
     /// With no dirt accumulated every stage is a skip and the held
     /// `Arc`s are reused untouched.
     pub fn refresh(&mut self) -> Result<DeltaOutcome, EngineError> {
-        // Dirty-fraction cutover: past the configured churn fraction the
-        // delta walk recomputes nearly every stage anyway but still pays
-        // its per-stage overhead (provider hooks, content-equality
-        // comparison of each recomputed artifact against the held one),
-        // so a cold run is strictly cheaper. The session evidence
-        // (fates, slots, S6 counters) is maintained by `apply`, not by
-        // the walk, so skipping the walk loses nothing.
-        let dirty_fraction =
-            self.dirty_keys.len() as f64 / self.master.len().max(1) as f64;
-        if dirty_fraction > self.cfg.delta_cold_cutover {
-            let mut snap = Snapshot::new(&self.master, self.cfg.clone());
-            let mut prev = Vec::with_capacity(Snapshot::stage_names().len());
-            for name in Snapshot::stage_names() {
-                prev.push(snap.materialize(name)?);
-            }
-            self.prev = prev;
-            self.last_report = snap.stage_report();
-            self.tok_samples = false;
-            self.tok_structure = false;
-            self.tok_mult = false;
-            self.dirty_keys.clear();
-            return Ok(DeltaOutcome {
-                skipped: 0,
-                recomputed: Snapshot::stage_names().len(),
-            });
-        }
         let plan = DeltaPlan {
             samples: self.tok_samples,
             structure: self.tok_structure,
@@ -364,7 +333,6 @@ impl DeltaSession {
         self.tok_samples = false;
         self.tok_structure = false;
         self.tok_mult = false;
-        self.dirty_keys.clear();
         let (skipped, recomputed) = self.last_report.stages.iter().fold(
             (0usize, 0usize),
             |(sk, rc), &(_, s)| {
@@ -518,113 +486,6 @@ impl DeltaSession {
         if matches!(ev, PathEvent::AddedDistinct | PathEvent::RemovedDistinct) {
             self.tok_structure = true;
         }
-    }
-}
-
-/// Refcounted degree evidence: one counter per *directed* neighbor link
-/// `(as, neighbor)` across clean sample paths, split into the two
-/// adjacency flavors S2 distinguishes (any position vs. mid-path), plus
-/// the per-AS distinct-neighbor tallies those links induce. Clean paths
-/// are loop-free and prepending-compressed, so an AS occupies at most
-/// one position per path and each directed link key contributes at most
-/// once per sample — making the counters exact refcounts.
-///
-/// [`DegreeLedger::emit`] reassembles a [`DegreeTable`] content-equal
-/// to [`DegreeTable::compute`] over the same clean paths: the observed
-/// AS set is exactly "node degree > 0" (a length-1 path contributes no
-/// links, matching the stage body), and the ranked order re-applies the
-/// stage's comparator to that set.
-#[derive(Clone, Default)]
-struct DegreeLedger {
-    node_links: FxHashMap<(Asn, Asn), u32>,
-    transit_links: FxHashMap<(Asn, Asn), u32>,
-    node_deg: FxHashMap<Asn, u32>,
-    transit_deg: FxHashMap<Asn, u32>,
-}
-
-impl DegreeLedger {
-    fn add(&mut self, clean: &AsPath) {
-        let hops = &clean.0;
-        for (i, &asn) in hops.iter().enumerate() {
-            let mid = i > 0 && i + 1 < hops.len();
-            if i > 0 {
-                Self::link_up(&mut self.node_links, &mut self.node_deg, asn, hops[i - 1]);
-                if mid {
-                    Self::link_up(&mut self.transit_links, &mut self.transit_deg, asn, hops[i - 1]);
-                }
-            }
-            if i + 1 < hops.len() {
-                Self::link_up(&mut self.node_links, &mut self.node_deg, asn, hops[i + 1]);
-                if mid {
-                    Self::link_up(&mut self.transit_links, &mut self.transit_deg, asn, hops[i + 1]);
-                }
-            }
-        }
-    }
-
-    fn remove(&mut self, clean: &AsPath) {
-        let hops = &clean.0;
-        for (i, &asn) in hops.iter().enumerate() {
-            let mid = i > 0 && i + 1 < hops.len();
-            if i > 0 {
-                Self::link_down(&mut self.node_links, &mut self.node_deg, asn, hops[i - 1]);
-                if mid {
-                    Self::link_down(&mut self.transit_links, &mut self.transit_deg, asn, hops[i - 1]);
-                }
-            }
-            if i + 1 < hops.len() {
-                Self::link_down(&mut self.node_links, &mut self.node_deg, asn, hops[i + 1]);
-                if mid {
-                    Self::link_down(&mut self.transit_links, &mut self.transit_deg, asn, hops[i + 1]);
-                }
-            }
-        }
-    }
-
-    fn link_up(
-        links: &mut FxHashMap<(Asn, Asn), u32>,
-        deg: &mut FxHashMap<Asn, u32>,
-        asn: Asn,
-        neighbor: Asn,
-    ) {
-        let c = links.entry((asn, neighbor)).or_insert(0);
-        *c += 1;
-        if *c == 1 {
-            *deg.entry(asn).or_insert(0) += 1;
-        }
-    }
-
-    fn link_down(
-        links: &mut FxHashMap<(Asn, Asn), u32>,
-        deg: &mut FxHashMap<Asn, u32>,
-        asn: Asn,
-        neighbor: Asn,
-    ) {
-        if let Some(c) = links.get_mut(&(asn, neighbor)) {
-            *c -= 1;
-            if *c == 0 {
-                links.remove(&(asn, neighbor));
-                decrement(deg, asn);
-            }
-        }
-    }
-
-    /// Assemble the degree table from the live counters — the S2
-    /// provider body. Cost is `O(V log V)` in observed ASes, not
-    /// `O(total hops)` like the stage body's re-scan.
-    fn emit(&self) -> DegreeTable {
-        let mut ranked: Vec<Asn> = self.node_deg.keys().copied().collect();
-        let transit = |a: Asn| self.transit_deg.get(&a).copied().unwrap_or(0) as usize;
-        let node = |a: Asn| self.node_deg.get(&a).copied().unwrap_or(0) as usize;
-        // The stage's comparator verbatim: transit degree desc, node
-        // degree desc, ASN asc.
-        ranked.sort_by(|&a, &b| {
-            transit(b)
-                .cmp(&transit(a))
-                .then_with(|| node(b).cmp(&node(a)))
-                .then_with(|| a.cmp(&b))
-        });
-        DegreeTable::from_ranked_entries(ranked.into_iter().map(|a| (a, transit(a), node(a))))
     }
 }
 

@@ -762,7 +762,7 @@ fn run_inference(_env: &Env, inputs: &[Artifact]) -> Result<Artifact, EngineErro
 
 fn run_cone_recursive(env: &Env, inputs: &[Artifact]) -> Result<Artifact, EngineError> {
     let inf = as_inference(inputs, 0, "cone_recursive")?;
-    Ok(Artifact::Cone(Arc::new(CustomerCones::recursive_with(
+    Ok(Artifact::Cone(Arc::new(CustomerCones::recursive(
         &inf.relationships,
         env.prefixes.as_ref(),
         env.cfg.parallelism,
@@ -772,29 +772,23 @@ fn run_cone_recursive(env: &Env, inputs: &[Artifact]) -> Result<Artifact, Engine
 fn run_cone_bgp(env: &Env, inputs: &[Artifact]) -> Result<Artifact, EngineError> {
     let inf = as_inference(inputs, 0, "cone_bgp_observed")?;
     let arena = as_arena(inputs, 1, "cone_bgp_observed")?;
-    Ok(Artifact::Cone(Arc::new(
-        CustomerCones::bgp_observed_from_arena_with_block(
-            arena,
-            &inf.relationships,
-            env.prefixes.as_ref(),
-            env.cfg.parallelism,
-            env.cfg.cone_sweep_block,
-        ),
-    )))
+    Ok(Artifact::Cone(Arc::new(CustomerCones::bgp_observed(
+        arena,
+        &inf.relationships,
+        env.prefixes.as_ref(),
+        env.cfg.parallelism,
+    ))))
 }
 
 fn run_cone_provider_peer(env: &Env, inputs: &[Artifact]) -> Result<Artifact, EngineError> {
     let inf = as_inference(inputs, 0, "cone_provider_peer")?;
     let arena = as_arena(inputs, 1, "cone_provider_peer")?;
-    Ok(Artifact::Cone(Arc::new(
-        CustomerCones::provider_peer_observed_from_arena_with_block(
-            arena,
-            &inf.relationships,
-            env.prefixes.as_ref(),
-            env.cfg.parallelism,
-            env.cfg.cone_sweep_block,
-        ),
-    )))
+    Ok(Artifact::Cone(Arc::new(CustomerCones::provider_peer_observed(
+        arena,
+        &inf.relationships,
+        env.prefixes.as_ref(),
+        env.cfg.parallelism,
+    ))))
 }
 
 // ---------------------------------------------------------------------

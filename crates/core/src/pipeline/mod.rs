@@ -14,6 +14,7 @@ use crate::sanitize::{sanitize_with, SanitizeConfig, SanitizeReport};
 use asrank_types::prelude::*;
 use asrank_types::EngineError;
 use serde::{Deserialize, Serialize};
+use std::sync::Arc;
 
 /// Pipeline configuration. `Default` matches the paper's published
 /// parameters where known and conservative values elsewhere.
@@ -40,29 +41,6 @@ pub struct InferenceConfig {
     /// identical for every value.
     // lint: allow(fp-excluded, thread budget only — outputs are bit-identical for every value, so it must not invalidate cached artifacts)
     pub parallelism: Parallelism,
-    /// Owner-block width (in dense ids) for the cone sweep's pair
-    /// merge. `0` (the default) sizes blocks automatically so each
-    /// block's sort working set stays cache-resident; any other value
-    /// forces that width. A layout knob like `parallelism`: the merged
-    /// pairs are bit-identical for every value, so it must not
-    /// invalidate cached artifacts.
-    // lint: allow(fp-excluded, cache-blocking width only — outputs are bit-identical for every value, so it must not invalidate cached artifacts)
-    pub cone_sweep_block: usize,
-    /// Dirty-sample fraction above which a
-    /// [`crate::delta::DeltaSession::refresh`] abandons the incremental
-    /// walk and recomputes from scratch. `benches/delta.rs` measured the
-    /// crossover at the 8k tier and found none up to 20% churn: the
-    /// session's maintained evidence makes the walk's S1/S2/arena/S6
-    /// strictly cheaper than their cold scans while every other stage
-    /// runs identically, so the walk undercuts a cold rebuild at every
-    /// churn fraction. The default of `1.0` therefore disables the
-    /// fallback for any single-emission churn up to full replacement;
-    /// the knob remains as an operational escape hatch (the fraction
-    /// can exceed 1.0 for withdraw-heavy streams, and other datasets
-    /// may balance differently). A scheduling policy, not an algorithm
-    /// parameter: both paths emit byte-identical artifacts.
-    // lint: allow(fp-excluded, refresh scheduling policy only — outputs are bit-identical for every value, so it must not invalidate cached artifacts)
-    pub delta_cold_cutover: f64,
 }
 
 /// Per-step ablation switches (used by the E12 ablation experiment).
@@ -93,8 +71,6 @@ impl Default for InferenceConfig {
             degree_flip_ratio: 10.0,
             ablation: Ablation::default(),
             parallelism: Parallelism::default(),
-            cone_sweep_block: 0,
-            delta_cold_cutover: 1.0,
         }
     }
 }
@@ -185,7 +161,10 @@ pub fn infer(paths: &PathSet, cfg: &InferenceConfig) -> Inference {
 pub fn try_infer(paths: &PathSet, cfg: &InferenceConfig) -> Result<Inference, EngineError> {
     let mut snapshot = crate::engine::Snapshot::new(paths, cfg.clone());
     let inference = snapshot.inference()?;
-    Ok(Inference::clone(&inference))
+    // Dropping the snapshot releases the store's reference, so the
+    // inference moves out without a copy.
+    drop(snapshot);
+    Ok(Arc::unwrap_or_clone(inference))
 }
 
 /// The original single-call pipeline, kept as the reference

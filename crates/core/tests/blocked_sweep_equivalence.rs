@@ -1,17 +1,16 @@
-//! Property tests pinning the PR8 cache-blocked cone sweep to the PR3
-//! unblocked sweep: for random topologies, every forced block width
-//! (including degenerate 1-id blocks and widths larger than the id
-//! space), and both thread budgets, the blocked merge must produce
-//! element-identical cones — and, one level down, the blocked pair
-//! merge must produce the bit-identical sorted pair list. The block
-//! width is a cache-layout knob exactly like the thread count: it must
-//! never be observable in any output.
+//! Property test pinning the cache-blocked pair merge of the observed
+//! cone sweep to the full-width unblocked merge: for random topologies,
+//! every forced block width (including degenerate 1-id blocks and widths
+//! larger than the id space), and both thread budgets, the blocked merge
+//! must produce the bit-identical sorted pair list. The block width is a
+//! cache-layout parameter exactly like the thread count: it must never
+//! be observable in any output. The cones built from the merged pairs
+//! are pinned against the pre-arena references in `cone_equivalence.rs`.
 
 use asrank_core::cone::{bgp_raw_sweep_pairs, merge_sweep_pairs_blocked, merge_sweep_pairs_unblocked};
-use asrank_core::{sanitize, CustomerCones, PathArena, SanitizeConfig, SanitizedPaths};
+use asrank_core::{sanitize, PathArena, SanitizeConfig, SanitizedPaths};
 use asrank_types::prelude::*;
 use proptest::prelude::*;
-use std::collections::HashMap;
 
 /// Forced owner-block widths the sweep must be invariant over: 0 is
 /// the automatic cache-sized width, 1 makes every owner its own block,
@@ -59,103 +58,7 @@ fn mixed_rels(edges: &[(u32, u32, bool)]) -> RelationshipMap {
     rels
 }
 
-/// Deterministic prefix table over a subset of the ASes, so weighted
-/// cone sizes are part of the equivalence check too.
-fn prefixes_for(edges: &[(u32, u32, bool)]) -> HashMap<Asn, Vec<Ipv4Prefix>> {
-    let mut table: HashMap<Asn, Vec<Ipv4Prefix>> = HashMap::new();
-    for &(x, y, _) in edges {
-        for a in [x, y] {
-            if a % 3 == 0 {
-                table.entry(Asn(a)).or_insert_with(|| {
-                    (0..a % 5)
-                        .map(|i| Ipv4Prefix::new((a << 16) | (i << 8), 24).unwrap())
-                        .collect()
-                });
-            }
-        }
-    }
-    table
-}
-
-fn assert_same_cones(
-    blocked: &CustomerCones,
-    unblocked: &CustomerCones,
-    block: usize,
-    par: Parallelism,
-) -> Result<(), proptest::TestCaseError> {
-    prop_assert_eq!(
-        blocked.len(),
-        unblocked.len(),
-        "cone count differs at block {} {:?}",
-        block,
-        par
-    );
-    for asn in unblocked.ases() {
-        prop_assert_eq!(
-            blocked.members(asn),
-            unblocked.members(asn),
-            "members of {} differ at block {} {:?}",
-            asn,
-            block,
-            par
-        );
-        prop_assert_eq!(
-            blocked.size(asn),
-            unblocked.size(asn),
-            "size of {} differs at block {} {:?}",
-            asn,
-            block,
-            par
-        );
-    }
-    Ok(())
-}
-
 proptest! {
-    #[test]
-    fn blocked_bgp_observed_matches_unblocked(
-        paths in paths_strategy(),
-        edges in mixed_edges_strategy(),
-    ) {
-        let sanitized = sanitized_from(&paths);
-        let rels = mixed_rels(&edges);
-        let prefixes = prefixes_for(&edges);
-        for par in [Parallelism::sequential(), Parallelism::threads(4)] {
-            let arena = PathArena::build_with(&sanitized, par);
-            let unblocked = CustomerCones::bgp_observed_from_arena_unblocked(
-                &arena, &rels, Some(&prefixes), par,
-            );
-            for block in BLOCK_WIDTHS {
-                let blocked = CustomerCones::bgp_observed_from_arena_with_block(
-                    &arena, &rels, Some(&prefixes), par, block,
-                );
-                assert_same_cones(&blocked, &unblocked, block, par)?;
-            }
-        }
-    }
-
-    #[test]
-    fn blocked_provider_peer_matches_unblocked(
-        paths in paths_strategy(),
-        edges in mixed_edges_strategy(),
-    ) {
-        let sanitized = sanitized_from(&paths);
-        let rels = mixed_rels(&edges);
-        let prefixes = prefixes_for(&edges);
-        for par in [Parallelism::sequential(), Parallelism::threads(4)] {
-            let arena = PathArena::build_with(&sanitized, par);
-            let unblocked = CustomerCones::provider_peer_observed_from_arena_unblocked(
-                &arena, &rels, Some(&prefixes), par,
-            );
-            for block in BLOCK_WIDTHS {
-                let blocked = CustomerCones::provider_peer_observed_from_arena_with_block(
-                    &arena, &rels, Some(&prefixes), par, block,
-                );
-                assert_same_cones(&blocked, &unblocked, block, par)?;
-            }
-        }
-    }
-
     #[test]
     fn blocked_pair_merge_is_bit_identical(
         paths in paths_strategy(),

@@ -10,7 +10,7 @@
 //!   references on random path sets + relationship maps, at both
 //!   `Parallelism::sequential()` and `Parallelism::threads(4)`.
 
-use asrank_core::{sanitize, CustomerCones, SanitizeConfig, SanitizedPaths};
+use asrank_core::{sanitize, CustomerCones, PathArena, SanitizeConfig, SanitizedPaths};
 use asrank_types::prelude::*;
 use proptest::prelude::*;
 use std::collections::HashMap;
@@ -97,7 +97,7 @@ proptest! {
     fn bitset_closure_matches_reference(edges in edges_strategy()) {
         let rels = rels_from(&edges);
         let prefixes = prefixes_for(&edges);
-        let fast = CustomerCones::recursive(&rels, Some(&prefixes));
+        let fast = CustomerCones::recursive(&rels, Some(&prefixes), Parallelism::auto());
         let slow = CustomerCones::recursive_reference(&rels, Some(&prefixes));
 
         prop_assert_eq!(fast.len(), slow.len());
@@ -124,7 +124,7 @@ proptest! {
         let mut edges: Vec<(u32, u32)> = extra;
         edges.extend((1..=chain).map(|i| (i, if i == chain { 1 } else { i + 1 })));
         let rels = rels_from(&edges);
-        let fast = CustomerCones::recursive(&rels, None);
+        let fast = CustomerCones::recursive(&rels, None, Parallelism::auto());
         let slow = CustomerCones::recursive_reference(&rels, None);
         for asn in slow.ases() {
             prop_assert_eq!(fast.members(asn), slow.members(asn));
@@ -147,7 +147,7 @@ proptest! {
         let prefixes = prefixes_for(&pairs);
         let slow = CustomerCones::bgp_observed_reference(&sanitized, &rels, Some(&prefixes));
         for par in [Parallelism::sequential(), Parallelism::threads(4)] {
-            let fast = CustomerCones::bgp_observed_with(&sanitized, &rels, Some(&prefixes), par);
+            let fast = CustomerCones::bgp_observed(&PathArena::build_with(&sanitized, par), &rels, Some(&prefixes), par);
             prop_assert_eq!(fast.len(), slow.len(), "cone count differs at {:?}", par);
             for asn in slow.ases() {
                 prop_assert_eq!(fast.members(asn), slow.members(asn), "members of {} differ at {:?}", asn, par);
@@ -167,7 +167,7 @@ proptest! {
         let prefixes = prefixes_for(&pairs);
         let slow = CustomerCones::provider_peer_observed_reference(&sanitized, &rels, Some(&prefixes));
         for par in [Parallelism::sequential(), Parallelism::threads(4)] {
-            let fast = CustomerCones::provider_peer_observed_with(&sanitized, &rels, Some(&prefixes), par);
+            let fast = CustomerCones::provider_peer_observed(&PathArena::build_with(&sanitized, par), &rels, Some(&prefixes), par);
             prop_assert_eq!(fast.len(), slow.len(), "cone count differs at {:?}", par);
             for asn in slow.ases() {
                 prop_assert_eq!(fast.members(asn), slow.members(asn), "members of {} differ at {:?}", asn, par);

@@ -55,14 +55,14 @@ fn cone_sizes_identical_across_thread_counts() {
     let inference = infer(&paths, &cfg);
     let clean = sanitize_with(&paths, &cfg.sanitize, Parallelism::sequential());
 
-    let seq = ConeSets::compute_with(
+    let seq = ConeSets::compute(
         &clean,
         &inference.relationships,
         None,
         Parallelism::sequential(),
     );
     for par in [Parallelism::threads(3), Parallelism::auto()] {
-        let other = ConeSets::compute_with(&clean, &inference.relationships, None, par);
+        let other = ConeSets::compute(&clean, &inference.relationships, None, par);
         for (name, a, b) in [
             ("recursive", &seq.recursive, &other.recursive),
             ("bgp_observed", &seq.bgp_observed, &other.bgp_observed),

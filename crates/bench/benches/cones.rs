@@ -4,7 +4,6 @@ use as_topology_gen::{generate, TopologyConfig};
 use asrank_core::cone::CustomerCones;
 use asrank_core::pipeline::{infer, InferenceConfig};
 use asrank_core::{sanitize, SanitizeConfig};
-use asrank_types::prelude::Parallelism;
 use bgp_sim::{simulate, SimConfig, VpSelection};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -24,7 +23,7 @@ fn bench_cones(c: &mut Criterion) {
         // in the real pipeline — cone sizing is part of the measured work.
         let prefixes = &topo.ground_truth.prefixes;
         group.bench_with_input(BenchmarkId::new("recursive", name), rels, |b, rels| {
-            b.iter(|| black_box(CustomerCones::recursive(rels, Some(prefixes), Parallelism::auto())))
+            b.iter(|| black_box(CustomerCones::recursive(rels, Some(prefixes))))
         });
         // The pre-rewrite HashSet closure — the baseline the bitset
         // implementation is measured against (acceptance: ≥ 3× faster).
@@ -44,28 +43,14 @@ fn bench_cones(c: &mut Criterion) {
             BenchmarkId::new("bgp_observed", name),
             &(&arena, rels),
             |b, (arena, rels)| {
-                b.iter(|| {
-                    black_box(CustomerCones::bgp_observed(
-                        arena,
-                        rels,
-                        None,
-                        Parallelism::auto(),
-                    ))
-                })
+                b.iter(|| black_box(CustomerCones::bgp_observed(arena, rels, None)))
             },
         );
         group.bench_with_input(
             BenchmarkId::new("provider_peer", name),
             &(&arena, rels),
             |b, (arena, rels)| {
-                b.iter(|| {
-                    black_box(CustomerCones::provider_peer_observed(
-                        arena,
-                        rels,
-                        None,
-                        Parallelism::auto(),
-                    ))
-                })
+                b.iter(|| black_box(CustomerCones::provider_peer_observed(arena, rels, None)))
             },
         );
         // The pre-arena per-AS-rescan engines (the PR1 baselines, kept as

@@ -178,7 +178,7 @@ fn bench_scale(c: &mut Criterion) {
     let clean = sanitize(&paths, &icfg.sanitize);
     let arena = clean.arena();
     let n = arena.num_ases();
-    let raw = bgp_raw_sweep_pairs(&arena, rels, Parallelism::auto());
+    let raw = bgp_raw_sweep_pairs(&arena, rels);
     println!(
         "scale_sweep: 42k raw pairs = {} over {} live ASes",
         raw.len(),
@@ -189,22 +189,13 @@ fn bench_scale(c: &mut Criterion) {
     group.sample_size(10);
     group.throughput(Throughput::Elements(raw.len() as u64));
     group.bench_function(BenchmarkId::new("merge_blocked", "42k"), |b| {
-        b.iter(|| {
-            black_box(merge_sweep_pairs_blocked(&raw, n, 0, Parallelism::auto()))
-        })
+        b.iter(|| black_box(merge_sweep_pairs_blocked(&raw, n, 0)))
     });
     group.bench_function(BenchmarkId::new("merge_unblocked", "42k"), |b| {
         b.iter(|| black_box(merge_sweep_pairs_unblocked(&raw, n)))
     });
     group.bench_function(BenchmarkId::new("cone_blocked", "42k"), |b| {
-        b.iter(|| {
-            black_box(CustomerCones::bgp_observed(
-                &arena,
-                rels,
-                None,
-                Parallelism::auto(),
-            ))
-        })
+        b.iter(|| black_box(CustomerCones::bgp_observed(&arena, rels, None)))
     });
     group.finish();
 

@@ -4,7 +4,6 @@
 use crate::harness::{Scale, Scenario, Workbench};
 use crate::sanitized;
 use crate::table::{pct, Table};
-use asrank_types::Parallelism;
 use asrank_core::cone::ConeSets;
 
 /// Produce the E6 report: CCDF points and quantiles per definition.
@@ -15,7 +14,6 @@ pub fn run(scale: Scale, seed: u64) -> String {
         &clean,
         &wb.inference.relationships,
         Some(&wb.topo.ground_truth.prefixes),
-        Parallelism::auto(),
     );
 
     let defs: [(&str, &asrank_core::CustomerCones); 3] = [

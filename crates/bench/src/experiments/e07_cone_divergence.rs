@@ -4,7 +4,6 @@
 use crate::harness::{Scale, Scenario, Workbench};
 use crate::sanitized;
 use crate::table::{f, Table};
-use asrank_types::Parallelism;
 use asrank_core::cone::ConeSets;
 use asrank_core::rank_ases;
 
@@ -16,7 +15,6 @@ pub fn run(scale: Scale, seed: u64) -> String {
         &clean,
         &wb.inference.relationships,
         Some(&wb.topo.ground_truth.prefixes),
-        Parallelism::auto(),
     );
     let ranked = rank_ases(&cones.recursive, &wb.inference.degrees);
 

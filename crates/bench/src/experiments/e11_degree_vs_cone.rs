@@ -6,7 +6,6 @@ use crate::harness::{Scale, Scenario, Workbench};
 use crate::sanitized;
 use crate::table::{f, Table};
 use asrank_core::centrality::transit_centrality;
-use asrank_types::Parallelism;
 use asrank_core::cone::CustomerCones;
 use asrank_core::rank::{rank_ases, spearman};
 
@@ -14,7 +13,7 @@ use asrank_core::rank::{rank_ases, spearman};
 pub fn run(scale: Scale, seed: u64) -> String {
     let wb = Workbench::build(Scenario::at_scale(scale, seed));
     let clean = sanitized(&wb);
-    let cones = CustomerCones::recursive(&wb.inference.relationships, None, Parallelism::auto());
+    let cones = CustomerCones::recursive(&wb.inference.relationships, None);
     let degrees = &wb.inference.degrees;
     let centrality = transit_centrality(&clean);
 

@@ -28,11 +28,7 @@ fn run_stage(stage: &str, flags: &Flags) -> i32 {
         Err(code) => return code,
     };
     let mut snapshot = inputs.snapshot();
-    let cfg = AuditConfig {
-        parallelism: inputs.cfg.parallelism,
-        ..AuditConfig::default()
-    };
-    match audit_stage(&mut snapshot, stage, &cfg) {
+    match audit_stage(&mut snapshot, stage, &AuditConfig::default()) {
         Ok(report) => {
             print!("{}", report.render());
             if report.passed() {
@@ -116,11 +112,12 @@ pub fn run(args: &[String]) -> i32 {
         None => None,
     };
 
-    let cfg = AuditConfig {
-        parallelism: threads,
-        ..AuditConfig::default()
-    };
-    let report = audit(&rels, sanitized.as_ref(), clique.as_deref(), &cfg);
+    let report = audit(
+        &rels,
+        sanitized.as_ref(),
+        clique.as_deref(),
+        &AuditConfig::default(),
+    );
     print!("{}", report.render());
     if report.passed() {
         0

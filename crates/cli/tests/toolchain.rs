@@ -418,3 +418,95 @@ fn cache_dir_warm_run_matches_cold_and_no_cache_disables() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn threads_do_not_change_cli_outputs() {
+    // The fan-outs left in the chain — bgpsim route propagation, MRT
+    // decode and S1 sanitize — must never show in an output byte.
+    let dir = tmp("threads");
+    let topo = dir.join("topo");
+    let t = topo.to_str().unwrap();
+    assert!(bin()
+        .args(sv(&[
+            "generate", "--scale", "tiny", "--seed", "7", "--out", t
+        ]))
+        .status()
+        .unwrap()
+        .success());
+
+    let run = |threads: &str| -> (Vec<u8>, Vec<u8>, Vec<u8>) {
+        let rib = dir.join(format!("rib{threads}.mrt"));
+        let rel = dir.join(format!("as-rel{threads}.txt"));
+        let (rib_s, rel_s) = (rib.to_str().unwrap(), rel.to_str().unwrap());
+        let sim = sv(&[
+            "simulate",
+            "--topo",
+            t,
+            "--vps",
+            "8",
+            "--seed",
+            "7",
+            "--threads",
+            threads,
+            "--out",
+            rib_s,
+        ]);
+        let inf = sv(&[
+            "infer",
+            "--rib",
+            rib_s,
+            "--threads",
+            threads,
+            "--out",
+            rel_s,
+        ]);
+        let rank = sv(&[
+            "rank",
+            "--rib",
+            rib_s,
+            "--topo",
+            t,
+            "--threads",
+            threads,
+            "--top",
+            "100000",
+        ]);
+        for args in [&sim, &inf] {
+            let out = bin().args(args).output().unwrap();
+            assert!(
+                out.status.success(),
+                "{args:?}: {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+        }
+        let ranked = bin().args(&rank).output().unwrap();
+        assert!(
+            ranked.status.success(),
+            "{}",
+            String::from_utf8_lossy(&ranked.stderr)
+        );
+        (
+            std::fs::read(&rib).unwrap(),
+            std::fs::read(&rel).unwrap(),
+            ranked.stdout,
+        )
+    };
+
+    let (rib1, rel1, rank1) = run("1");
+    let (rib4, rel4, rank4) = run("4");
+    assert!(!rib1.is_empty() && !rel1.is_empty() && !rank1.is_empty());
+    assert!(
+        rib1 == rib4,
+        "simulate MRT differs between --threads 1 and 4"
+    );
+    assert!(
+        rel1 == rel4,
+        "infer as-rel.txt differs between --threads 1 and 4"
+    );
+    assert_eq!(
+        String::from_utf8_lossy(&rank1),
+        String::from_utf8_lossy(&rank4)
+    );
+
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -139,8 +139,6 @@ pub struct AuditConfig {
     /// Valley-violation fraction above which the finding escalates from
     /// warning to error.
     pub valley_error_fraction: f64,
-    /// Worker threads for the cone computations.
-    pub parallelism: Parallelism,
 }
 
 impl Default for AuditConfig {
@@ -149,7 +147,6 @@ impl Default for AuditConfig {
             max_containment_pairs: 100_000,
             reference_sample: 64,
             valley_error_fraction: 0.05,
-            parallelism: Parallelism::auto(),
         }
     }
 }
@@ -182,7 +179,7 @@ pub fn audit(
     check_cones(rels, cfg, &mut report);
     match sanitized {
         Some(s) => {
-            let arena = PathArena::build_with(s, cfg.parallelism);
+            let arena = PathArena::build(s);
             check_arena(&arena, &mut report);
             check_valley(rels, &arena, cfg, &mut report);
         }
@@ -638,7 +635,7 @@ fn subset_sorted(sub: &[Asn], sup: &[Asn]) -> bool {
 /// Checks 4 and 5: cone containment along every (sampled) c2p link, and
 /// hybrid-vs-reference agreement on a deterministic AS sample.
 fn check_cones(rels: &RelationshipMap, cfg: &AuditConfig, out: &mut AuditReport) {
-    let cones = CustomerCones::recursive(rels, None, cfg.parallelism);
+    let cones = CustomerCones::recursive(rels, None);
 
     // Containment: customer cone ⊆ provider cone for each c2p pair.
     let mut pairs: Vec<(Asn, Asn)> = rels.c2p_pairs().collect();
@@ -753,7 +750,7 @@ fn check_valley(
     cfg: &AuditConfig,
     out: &mut AuditReport,
 ) {
-    let stats = grade_arena(arena, rels, cfg.parallelism);
+    let stats = grade_arena(arena, rels);
     let total = stats.total;
     let (unknown, valleys) = (stats.unknown, stats.valleys);
     let first_unknown = stats

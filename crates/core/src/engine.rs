@@ -20,9 +20,10 @@
 //!   and everything downstream while S1–S6 artifacts keep their keys —
 //!   incremental recomputation falls out of the keying, with no
 //!   explicit invalidation walk;
-//! * [`Parallelism`] is deliberately **excluded** from every subset:
-//!   results are identical for every thread budget, so a thread-count
-//!   change must (and does) hit the cache;
+//! * the S1 thread budget (`InferenceConfig::parallelism`) is
+//!   deliberately **excluded** from every subset: results are identical
+//!   for every thread budget, so a thread-count change must (and does)
+//!   hit the cache;
 //! * the optional per-AS prefix table is snapshot-level environment,
 //!   hashed once (sorted) into the cone stages only.
 //!
@@ -342,7 +343,7 @@ static STAGES: &[StageSpec] = &[
 ];
 
 // ---------------------------------------------------------------------
-// Config-subset fingerprints. Parallelism never enters a fingerprint:
+// Config-subset fingerprints. The thread budget never enters a fingerprint:
 // results are identical for every thread budget.
 
 fn fp_none(_ctx: &FpCtx) -> u64 {
@@ -604,12 +605,9 @@ fn run_clique(env: &Env, inputs: &[Artifact]) -> Result<Artifact, EngineError> {
     ))))
 }
 
-fn run_arena(env: &Env, inputs: &[Artifact]) -> Result<Artifact, EngineError> {
+fn run_arena(_env: &Env, inputs: &[Artifact]) -> Result<Artifact, EngineError> {
     let sanitized = as_sanitized(inputs, 0, "path_arena")?;
-    Ok(Artifact::Arena(Arc::new(PathArena::build_with(
-        sanitized,
-        env.cfg.parallelism,
-    ))))
+    Ok(Artifact::Arena(Arc::new(PathArena::build(sanitized))))
 }
 
 /// Dense clique-membership mask over the arena's id space. Clique
@@ -765,7 +763,6 @@ fn run_cone_recursive(env: &Env, inputs: &[Artifact]) -> Result<Artifact, Engine
     Ok(Artifact::Cone(Arc::new(CustomerCones::recursive(
         &inf.relationships,
         env.prefixes.as_ref(),
-        env.cfg.parallelism,
     ))))
 }
 
@@ -776,7 +773,6 @@ fn run_cone_bgp(env: &Env, inputs: &[Artifact]) -> Result<Artifact, EngineError>
         arena,
         &inf.relationships,
         env.prefixes.as_ref(),
-        env.cfg.parallelism,
     ))))
 }
 
@@ -787,7 +783,6 @@ fn run_cone_provider_peer(env: &Env, inputs: &[Artifact]) -> Result<Artifact, En
         arena,
         &inf.relationships,
         env.prefixes.as_ref(),
-        env.cfg.parallelism,
     ))))
 }
 

@@ -1,14 +1,15 @@
-//! Deterministic fork-join helpers for the pipeline's fan-out stages.
+//! Deterministic fork-join helper for the crate's single fan-out.
 //!
-//! Every parallel stage in this crate follows the same shape: split the
-//! work into contiguous chunks, process each chunk independently, and
-//! reassemble the per-chunk results **in chunk order**. Because each
-//! chunk's result depends only on its input (never on scheduling), the
-//! assembled output is bit-identical for every thread count — the
-//! guarantee the `parallel_determinism` integration test pins down.
+//! S1 sanitize is the only engine stage that measured a gain from worker
+//! threads (1.6x on 2 cores at Internet scale); every other stage runs
+//! on the calling thread. The fan-out splits the work into contiguous
+//! chunks, processes each chunk independently, and returns the per-chunk
+//! results **in chunk order**. Because each chunk's result depends only
+//! on its input (never on scheduling), the assembled output is
+//! bit-identical for every thread count — the guarantee the
+//! `parallel_determinism` integration test pins down.
 
 use asrank_types::Parallelism;
-use std::ops::Range;
 
 /// Map `f` over contiguous chunks of `items` (each at least `min_chunk`
 /// long), returning per-chunk results in chunk order.
@@ -43,103 +44,6 @@ where
     .expect("crossbeam scope failed")
 }
 
-/// Map `f` over contiguous index ranges covering `0..n`, returning
-/// per-range results in range order. For stages whose work is indexed
-/// rather than sliced (e.g. per-component materialization).
-pub fn map_ranges<R, F>(par: Parallelism, min_chunk: usize, n: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(Range<usize>) -> R + Sync,
-{
-    if n == 0 {
-        return Vec::new();
-    }
-    let chunk = par.chunk_size(n, min_chunk);
-    if chunk >= n {
-        return vec![f(0..n)];
-    }
-    let ranges: Vec<Range<usize>> = (0..n)
-        .step_by(chunk)
-        .map(|start| start..(start + chunk).min(n))
-        .collect();
-    crossbeam::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .into_iter()
-            .map(|r| {
-                let f = &f;
-                scope.spawn(move |_| f(r))
-            })
-            .collect();
-        handles
-            .into_iter()
-            // lint: allow(panics, re-raises a child panic on the caller thread; swallowing it would return truncated results)
-            .map(|h| h.join().expect("parallel worker panicked"))
-            .collect()
-    })
-    // lint: allow(panics, scope only errs when a worker panicked; the join above already re-raised it)
-    .expect("crossbeam scope failed")
-}
-
-/// Fill a pre-sized output buffer in parallel, in place: the contiguous
-/// index ranges of [`map_ranges`] each own the output span whose length
-/// `span_len` reports, and `f(range, span)` writes that span directly.
-/// Spans are carved off the front of `out` in range order, so they
-/// partition it exactly when the caller's offset table is consistent —
-/// no per-chunk buffers and no reassembly copy, which is the allocation
-/// the arena build used to pay twice (`Vec` per chunk + `concat`).
-///
-/// Determinism is inherited from the range split: each span's content
-/// depends only on its range, never on scheduling.
-pub fn fill_ranges<T, S, F>(
-    par: Parallelism,
-    min_chunk: usize,
-    n: usize,
-    out: &mut [T],
-    span_len: S,
-    f: F,
-) where
-    T: Send,
-    S: Fn(&Range<usize>) -> usize,
-    F: Fn(Range<usize>, &mut [T]) + Sync,
-{
-    if n == 0 {
-        return;
-    }
-    let chunk = par.chunk_size(n, min_chunk);
-    if chunk >= n {
-        f(0..n, out);
-        return;
-    }
-    let ranges: Vec<Range<usize>> = (0..n)
-        .step_by(chunk)
-        .map(|start| start..(start + chunk).min(n))
-        .collect();
-    let mut rest = out;
-    let mut jobs: Vec<(Range<usize>, &mut [T])> = Vec::with_capacity(ranges.len());
-    for r in ranges {
-        let len = span_len(&r);
-        let (span, tail) = rest.split_at_mut(len);
-        jobs.push((r, span));
-        rest = tail;
-    }
-    debug_assert!(rest.is_empty(), "spans must partition the output buffer");
-    crossbeam::scope(|scope| {
-        let handles: Vec<_> = jobs
-            .into_iter()
-            .map(|(r, span)| {
-                let f = &f;
-                scope.spawn(move |_| f(r, span))
-            })
-            .collect();
-        for h in handles {
-            // lint: allow(panics, re-raises a child panic on the caller thread; swallowing it would leave the output span half-written)
-            h.join().expect("parallel worker panicked");
-        }
-    })
-    // lint: allow(panics, scope only errs when a worker panicked; the join above already re-raised it)
-    .expect("crossbeam scope failed");
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,19 +66,8 @@ mod tests {
     }
 
     #[test]
-    fn ranges_cover_everything_once() {
-        for par in [Parallelism::sequential(), Parallelism::threads(4)] {
-            let covered = map_ranges(par, 10, 105, |r| r.collect::<Vec<usize>>());
-            let flat: Vec<usize> = covered.into_iter().flatten().collect();
-            assert_eq!(flat, (0..105).collect::<Vec<usize>>());
-        }
-    }
-
-    #[test]
     fn empty_inputs_yield_no_chunks() {
         let out: Vec<u32> = map_chunks(Parallelism::auto(), 1, &[] as &[u8], |_| 1u32);
-        assert!(out.is_empty());
-        let out: Vec<u32> = map_ranges(Parallelism::auto(), 1, 0, |_| 1u32);
         assert!(out.is_empty());
     }
 

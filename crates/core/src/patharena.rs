@@ -28,11 +28,9 @@
 //!   one `u64` each — ascending by path then position, matching the
 //!   insertion order of the hash-map index it replaces.
 //!
-//! The id-mapping pass fans out over worker threads ([`crate::par`]) in
-//! contiguous path ranges reassembled in range order, so the arena is
-//! bit-identical for every thread count.
+//! The build runs on the calling thread: on two cores, fanning the
+//! id-mapping pass out over worker threads measured no gain.
 
-use crate::par;
 use crate::sanitize::SanitizedPaths;
 use asrank_types::prelude::*;
 use asrank_types::FxHashMap;
@@ -41,7 +39,7 @@ use std::sync::Arc;
 /// Deduplicated, interned, CSR-flattened view of a sanitized path set.
 ///
 /// See the [module docs](self) for the layout. Construct with
-/// [`PathArena::build`] / [`PathArena::build_with`] (or
+/// [`PathArena::build`] (or
 /// [`PathArena::from_raw`] for audit fixtures), then hand shared
 /// references to every consumer — the arena is immutable.
 #[derive(Debug, Clone, Default)]
@@ -64,15 +62,8 @@ pub struct PathArena {
 }
 
 impl PathArena {
-    /// Build the arena from sanitized paths with the default thread
-    /// budget.
+    /// Build the arena from sanitized paths.
     pub fn build(sanitized: &SanitizedPaths) -> Self {
-        Self::build_with(sanitized, Parallelism::auto())
-    }
-
-    /// [`PathArena::build`] with an explicit thread budget. The result
-    /// is bit-identical for every `par` value.
-    pub fn build_with(sanitized: &SanitizedPaths, par: Parallelism) -> Self {
         let samples = &sanitized.samples;
 
         // Flatten every sample's raw hops into one contiguous buffer so
@@ -157,26 +148,14 @@ impl PathArena {
                 .flat_map(|&si| hops_of(si).iter().map(|&v| Asn(v))),
         );
 
-        // Map hops to dense ids over contiguous path ranges in parallel,
-        // each range writing its offset-table span of `ids` in place.
-        let mut ids: Vec<u32> = vec![0; total];
-        par::fill_ranges(
-            par,
-            256,
-            reps.len(),
-            &mut ids,
-            |range| (offsets[range.end] - offsets[range.start]) as usize,
-            |range, span| {
-                let mut w = 0usize;
-                for d in range {
-                    for &v in hops_of(reps[d]) {
-                        // lint: allow(panics, interner seeded from these same distinct paths covers every hop)
-                        span[w] = interner.get(Asn(v)).expect("interned");
-                        w += 1;
-                    }
-                }
-            },
-        );
+        // Map hops to dense ids, distinct path by distinct path.
+        let mut ids: Vec<u32> = Vec::with_capacity(total);
+        for &si in &reps {
+            for &v in hops_of(si) {
+                // lint: allow(panics, interner seeded from these same distinct paths covers every hop)
+                ids.push(interner.get(Asn(v)).expect("interned"));
+            }
+        }
 
         let (inv_offsets, inv_entries) = invert(&offsets, &ids, interner.len());
         PathArena {
@@ -549,7 +528,7 @@ impl MutablePathArena {
     }
 
     /// Emit the canonical arena for the current state — bit-identical to
-    /// [`PathArena::build_with`] over the equivalent sample multiset.
+    /// [`PathArena::build`] over the equivalent sample multiset.
     ///
     /// Returns the previous `Arc` untouched when nothing changed, a
     /// structure-sharing multiplicity patch when only evidence weight
@@ -757,22 +736,6 @@ mod tests {
     }
 
     #[test]
-    fn build_is_thread_count_invariant() {
-        let raw: Vec<Vec<u32>> = (0..120)
-            .map(|i| vec![900 + i % 7, 50 + i % 11, 20 + i % 5, 10 + i % 3, 1])
-            .collect();
-        let refs: Vec<&[u32]> = raw.iter().map(Vec::as_slice).collect();
-        let clean = sanitized(&refs);
-        let seq = PathArena::build_with(&clean, Parallelism::sequential());
-        let par = PathArena::build_with(&clean, Parallelism::threads(4));
-        assert_eq!(seq.offsets, par.offsets);
-        assert_eq!(seq.ids, par.ids);
-        assert_eq!(seq.multiplicity, par.multiplicity);
-        assert_eq!(seq.inv_offsets, par.inv_offsets);
-        assert_eq!(seq.inv_entries, par.inv_entries);
-    }
-
-    #[test]
     fn validate_catches_corruption() {
         let clean = sanitized(&[&[9, 1, 5], &[8, 1, 5]]);
         let good = PathArena::build(&clean);
@@ -825,7 +788,7 @@ mod tests {
     }
 
     /// The rebuilt-from-scratch oracle: an arena built over one synthetic
-    /// sample per `(path, repeat)` entry of the multiset. `build_with`
+    /// sample per `(path, repeat)` entry of the multiset. `build`
     /// only reads `sample.path`, so dummy vp/prefix values are fine.
     fn oracle_arena(multiset: &[Vec<u32>]) -> PathArena {
         let samples: Vec<PathSample> = multiset
@@ -841,7 +804,7 @@ mod tests {
             samples,
             report: Default::default(),
         };
-        PathArena::build_with(&clean, Parallelism::sequential())
+        PathArena::build(&clean)
     }
 
     #[test]

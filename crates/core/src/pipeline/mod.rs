@@ -35,10 +35,10 @@ pub struct InferenceConfig {
     /// Ablation switches: disable individual steps to measure their
     /// contribution (all `false` = full pipeline).
     pub ablation: Ablation,
-    /// Thread budget for the fan-out stages (S1 sanitize, S6 evidence
-    /// collection). The default (`auto`) uses all available cores;
-    /// [`Parallelism::sequential`] runs single-threaded. Results are
-    /// identical for every value.
+    /// Thread budget for S1 sanitize, the engine's only fan-out; every
+    /// other stage runs on the calling thread. The default (`auto`) uses
+    /// all available cores; [`Parallelism::sequential`] runs
+    /// single-threaded. Results are identical for every value.
     // lint: allow(fp-excluded, thread budget only — outputs are bit-identical for every value, so it must not invalidate cached artifacts)
     pub parallelism: Parallelism,
 }
@@ -187,7 +187,7 @@ pub fn infer_monolithic(paths: &PathSet, cfg: &InferenceConfig) -> Inference {
 
     // Interned path arena: paths are parsed, deduplicated, and indexed
     // exactly once; S4–S10 share this view.
-    let arena = PathArena::build_with(&sanitized, cfg.parallelism);
+    let arena = PathArena::build(&sanitized);
 
     // S4–S10.
     let relationships = steps::run(&arena, &sanitized, &degrees, &clique, cfg, &mut report);

@@ -300,26 +300,17 @@ pub fn infer_vp_providers(
     // Distinct-prefix evidence, flattened: instead of one prefix set
     // per `(vp, first hop)` key (millions of hashed inserts at scale),
     // gather a flat `(vp, first hop, prefix)` triple per qualifying
-    // sample — a cheap per-chunk append on worker threads — then sort
-    // and run-length count. The triple sort also yields the candidate
-    // walk order directly, so the classification consumes exactly the
-    // sequence the per-set construction sorted into.
-    let per_chunk = crate::par::map_chunks(cfg.parallelism, 512, &sanitized.samples, |chunk| {
-        let mut triples: Vec<(Asn, Asn, Ipv4Prefix)> = Vec::with_capacity(chunk.len());
-        for s in chunk {
-            let hops = &s.path.0;
-            if hops.len() < 2 || hops[0] != s.vp {
-                continue;
-            }
-            triples.push((s.vp, hops[1], s.prefix));
-        }
-        triples
-    });
-    let mut triples: Vec<(Asn, Asn, Ipv4Prefix)> =
-        Vec::with_capacity(per_chunk.iter().map(Vec::len).sum());
-    for chunk in per_chunk {
-        triples.extend_from_slice(&chunk);
-    }
+    // sample, then sort and run-length count. The triple sort also
+    // yields the candidate walk order directly, so the classification
+    // consumes exactly the sequence the per-set construction sorted into.
+    let mut triples: Vec<(Asn, Asn, Ipv4Prefix)> = Vec::with_capacity(sanitized.samples.len());
+    triples.extend(
+        sanitized
+            .samples
+            .iter()
+            .filter(|s| s.path.0.len() >= 2 && s.path.0[0] == s.vp)
+            .map(|s| (s.vp, s.path.0[1], s.prefix)),
+    );
     triples.sort_unstable();
     triples.dedup();
 

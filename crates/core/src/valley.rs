@@ -8,7 +8,6 @@
 //! by the simulator's tests, the pipeline's audit, and downstream
 //! consumers who want to grade paths against an inference.
 
-use crate::par;
 use crate::patharena::PathArena;
 use asrank_types::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -110,50 +109,34 @@ pub struct ValleyStats {
     pub first_valley: Option<(usize, usize)>,
 }
 
-/// Grade every distinct path of the arena against `rels` in one
-/// parallel sweep. Worker shards grade contiguous path ranges and the
-/// per-shard stats merge in shard order, so the totals *and* the
-/// first-offender positions are identical for every thread count.
-/// Arena paths are prepending-free by construction (the sanitizer
-/// compresses before the arena dedups), so no recompression happens.
-pub fn grade_arena(arena: &PathArena, rels: &RelationshipMap, par_cfg: Parallelism) -> ValleyStats {
+/// Grade every distinct path of the arena against `rels` in one sweep,
+/// in arena order, so the first-offender positions are the lowest path
+/// indices. Arena paths are prepending-free by construction (the
+/// sanitizer compresses before the arena dedups), so no recompression
+/// happens.
+pub fn grade_arena(arena: &PathArena, rels: &RelationshipMap) -> ValleyStats {
     let interner = arena.interner();
-    let chunked = par::map_ranges(par_cfg, 64, arena.len(), |range| {
-        let mut s = ValleyStats::default();
-        for p in range {
-            s.total += 1;
-            match check_valley_ids(arena.path(p), interner, rels) {
-                ValleyVerdict::ValleyFree => {}
-                ValleyVerdict::UnknownLink { position } => {
-                    s.unknown += 1;
-                    if s.first_unknown.is_none() {
-                        s.first_unknown = Some((p, position));
-                    }
+    let mut s = ValleyStats::default();
+    for p in 0..arena.len() {
+        s.total += 1;
+        match check_valley_ids(arena.path(p), interner, rels) {
+            ValleyVerdict::ValleyFree => {}
+            ValleyVerdict::UnknownLink { position } => {
+                s.unknown += 1;
+                if s.first_unknown.is_none() {
+                    s.first_unknown = Some((p, position));
                 }
-                ValleyVerdict::AscentAfterDescent { position }
-                | ValleyVerdict::SecondPeering { position } => {
-                    s.valleys += 1;
-                    if s.first_valley.is_none() {
-                        s.first_valley = Some((p, position));
-                    }
+            }
+            ValleyVerdict::AscentAfterDescent { position }
+            | ValleyVerdict::SecondPeering { position } => {
+                s.valleys += 1;
+                if s.first_valley.is_none() {
+                    s.first_valley = Some((p, position));
                 }
             }
         }
-        s
-    });
-    let mut out = ValleyStats::default();
-    for s in chunked {
-        out.total += s.total;
-        out.unknown += s.unknown;
-        out.valleys += s.valleys;
-        if out.first_unknown.is_none() {
-            out.first_unknown = s.first_unknown;
-        }
-        if out.first_valley.is_none() {
-            out.first_valley = s.first_valley;
-        }
     }
-    out
+    s
 }
 
 /// [`check_valley_free`] over dense-id hops (already prepending-free).
@@ -361,8 +344,7 @@ mod tests {
         let clean = sanitize(&ps, &SanitizeConfig::default());
         let arena = PathArena::build(&clean);
 
-        let stats = grade_arena(&arena, &r, Parallelism::sequential());
-        assert_eq!(stats, grade_arena(&arena, &r, Parallelism::threads(4)));
+        let stats = grade_arena(&arena, &r);
 
         let mut expect = ValleyStats::default();
         for (p, path) in arena.distinct_aspaths().iter().enumerate() {

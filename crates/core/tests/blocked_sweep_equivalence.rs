@@ -1,10 +1,9 @@
 //! Property test pinning the cache-blocked pair merge of the observed
 //! cone sweep to the full-width unblocked merge: for random topologies,
-//! every forced block width (including degenerate 1-id blocks and widths
-//! larger than the id space), and both thread budgets, the blocked merge
-//! must produce the bit-identical sorted pair list. The block width is a
-//! cache-layout parameter exactly like the thread count: it must never
-//! be observable in any output. The cones built from the merged pairs
+//! and every forced block width (including degenerate 1-id blocks and
+//! widths larger than the id space), the blocked merge must produce the
+//! bit-identical sorted pair list. The block width is a cache-layout
+//! parameter: it must never be observable in any output. The cones built from the merged pairs
 //! are pinned against the pre-arena references in `cone_equivalence.rs`.
 
 use asrank_core::cone::{bgp_raw_sweep_pairs, merge_sweep_pairs_blocked, merge_sweep_pairs_unblocked};
@@ -68,20 +67,12 @@ proptest! {
         // must be bit-identical, not merely materialize to equal sets.
         let sanitized = sanitized_from(&paths);
         let rels = mixed_rels(&edges);
-        let arena = PathArena::build_with(&sanitized, Parallelism::sequential());
-        let raw = bgp_raw_sweep_pairs(&arena, &rels, Parallelism::sequential());
+        let arena = PathArena::build(&sanitized);
+        let raw = bgp_raw_sweep_pairs(&arena, &rels);
         let reference = merge_sweep_pairs_unblocked(&raw, arena.num_ases());
-        for par in [Parallelism::sequential(), Parallelism::threads(4)] {
-            for block in BLOCK_WIDTHS {
-                let merged = merge_sweep_pairs_blocked(&raw, arena.num_ases(), block, par);
-                prop_assert_eq!(
-                    &merged,
-                    &reference,
-                    "merged pairs differ at block {} {:?}",
-                    block,
-                    par
-                );
-            }
+        for block in BLOCK_WIDTHS {
+            let merged = merge_sweep_pairs_blocked(&raw, arena.num_ases(), block);
+            prop_assert_eq!(&merged, &reference, "merged pairs differ at block {}", block);
         }
     }
 }

@@ -7,8 +7,7 @@
 //!   with a visited-set BFS;
 //! * the arena-backed single-sweep BGP-observed and provider/peer
 //!   observed cones must agree exactly with the retained pre-arena
-//!   references on random path sets + relationship maps, at both
-//!   `Parallelism::sequential()` and `Parallelism::threads(4)`.
+//!   references on random path sets + relationship maps.
 
 use asrank_core::{sanitize, CustomerCones, PathArena, SanitizeConfig, SanitizedPaths};
 use asrank_types::prelude::*;
@@ -97,7 +96,7 @@ proptest! {
     fn bitset_closure_matches_reference(edges in edges_strategy()) {
         let rels = rels_from(&edges);
         let prefixes = prefixes_for(&edges);
-        let fast = CustomerCones::recursive(&rels, Some(&prefixes), Parallelism::auto());
+        let fast = CustomerCones::recursive(&rels, Some(&prefixes));
         let slow = CustomerCones::recursive_reference(&rels, Some(&prefixes));
 
         prop_assert_eq!(fast.len(), slow.len());
@@ -124,7 +123,7 @@ proptest! {
         let mut edges: Vec<(u32, u32)> = extra;
         edges.extend((1..=chain).map(|i| (i, if i == chain { 1 } else { i + 1 })));
         let rels = rels_from(&edges);
-        let fast = CustomerCones::recursive(&rels, None, Parallelism::auto());
+        let fast = CustomerCones::recursive(&rels, None);
         let slow = CustomerCones::recursive_reference(&rels, None);
         for asn in slow.ases() {
             prop_assert_eq!(fast.members(asn), slow.members(asn));
@@ -146,13 +145,11 @@ proptest! {
         let pairs: Vec<(u32, u32)> = edges.iter().map(|&(x, y, _)| (x, y)).collect();
         let prefixes = prefixes_for(&pairs);
         let slow = CustomerCones::bgp_observed_reference(&sanitized, &rels, Some(&prefixes));
-        for par in [Parallelism::sequential(), Parallelism::threads(4)] {
-            let fast = CustomerCones::bgp_observed(&PathArena::build_with(&sanitized, par), &rels, Some(&prefixes), par);
-            prop_assert_eq!(fast.len(), slow.len(), "cone count differs at {:?}", par);
-            for asn in slow.ases() {
-                prop_assert_eq!(fast.members(asn), slow.members(asn), "members of {} differ at {:?}", asn, par);
-                prop_assert_eq!(fast.size(asn), slow.size(asn), "size of {} differs at {:?}", asn, par);
-            }
+        let fast = CustomerCones::bgp_observed(&PathArena::build(&sanitized), &rels, Some(&prefixes));
+        prop_assert_eq!(fast.len(), slow.len(), "cone count differs");
+        for asn in slow.ases() {
+            prop_assert_eq!(fast.members(asn), slow.members(asn), "members of {} differ", asn);
+            prop_assert_eq!(fast.size(asn), slow.size(asn), "size of {} differs", asn);
         }
     }
 
@@ -166,13 +163,11 @@ proptest! {
         let pairs: Vec<(u32, u32)> = edges.iter().map(|&(x, y, _)| (x, y)).collect();
         let prefixes = prefixes_for(&pairs);
         let slow = CustomerCones::provider_peer_observed_reference(&sanitized, &rels, Some(&prefixes));
-        for par in [Parallelism::sequential(), Parallelism::threads(4)] {
-            let fast = CustomerCones::provider_peer_observed(&PathArena::build_with(&sanitized, par), &rels, Some(&prefixes), par);
-            prop_assert_eq!(fast.len(), slow.len(), "cone count differs at {:?}", par);
-            for asn in slow.ases() {
-                prop_assert_eq!(fast.members(asn), slow.members(asn), "members of {} differ at {:?}", asn, par);
-                prop_assert_eq!(fast.size(asn), slow.size(asn), "size of {} differs at {:?}", asn, par);
-            }
+        let fast = CustomerCones::provider_peer_observed(&PathArena::build(&sanitized), &rels, Some(&prefixes));
+        prop_assert_eq!(fast.len(), slow.len(), "cone count differs");
+        for asn in slow.ases() {
+            prop_assert_eq!(fast.members(asn), slow.members(asn), "members of {} differ", asn);
+            prop_assert_eq!(fast.size(asn), slow.size(asn), "size of {} differs", asn);
         }
     }
 }

@@ -16,7 +16,7 @@ use crate::proto::{format_answer, parse_request, Request};
 use crate::snapshot::ServeSnapshot;
 use crate::source::{ServeError, SourceSpec};
 use crate::state::ServeState;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -128,18 +128,34 @@ fn accept_loop(listener: &TcpListener, state: &Arc<ServeState>, stop: &Arc<Atomi
     }
 }
 
+/// Longest request line a connection may send, newline included. Real
+/// requests are a few dozen bytes; a client that streams this many
+/// bytes without a newline is answered `err line too long` and
+/// disconnected, so one connection cannot grow server memory without
+/// bound.
+pub const MAX_REQUEST_LINE: usize = 4096;
+
 /// Run one connection's request loop (exposed for the CLI's stdio mode).
 pub fn serve_connection(stream: TcpStream, state: &Arc<ServeState>) -> std::io::Result<()> {
     let mut reader = BufReader::new(stream.try_clone()?);
     let mut writer = stream;
     let mut handle = state.reader();
-    let mut line = String::new();
+    let mut line: Vec<u8> = Vec::new();
     loop {
         line.clear();
-        if reader.read_line(&mut line)? == 0 {
+        let n = (&mut reader)
+            .take(MAX_REQUEST_LINE as u64)
+            .read_until(b'\n', &mut line)?;
+        if n == 0 {
             return Ok(());
         }
-        let text = line.trim();
+        if n == MAX_REQUEST_LINE && line.last() != Some(&b'\n') {
+            writeln!(writer, "err line too long")?;
+            return Ok(());
+        }
+        let text = std::str::from_utf8(&line)
+            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))?
+            .trim();
         if text.is_empty() {
             continue;
         }

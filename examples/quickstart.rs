@@ -10,7 +10,7 @@ use asrank::core::cone::ConeSets;
 use asrank::core::pipeline::{infer, InferenceConfig};
 use asrank::core::{rank_ases, sanitize, SanitizeConfig};
 use asrank::topology::{generate, TopologyConfig};
-use asrank::types::{Asn, Parallelism};
+use asrank::types::Asn;
 use asrank::validation::{
     build_corpus, evaluate_against_corpus, evaluate_against_truth, CorpusConfig,
 };
@@ -56,7 +56,6 @@ fn main() {
         &clean,
         &inference.relationships,
         Some(&topo.ground_truth.prefixes),
-        Parallelism::auto(),
     );
     println!("\ntop 5 ASes by customer cone:");
     for row in rank_ases(&cones.recursive, &inference.degrees)

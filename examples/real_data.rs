@@ -15,7 +15,7 @@ use asrank::core::cone::ConeSets;
 use asrank::core::pipeline::{infer, InferenceConfig};
 use asrank::core::{rank_ases, sanitize, write_as_rel};
 use asrank::mrt::read_rib_dump;
-use asrank::types::{Asn, Parallelism};
+use asrank::types::Asn;
 
 fn synthesize(path: &std::path::Path) {
     use asrank::bgpsim::{simulate, SimConfig, VpSelection};
@@ -86,7 +86,7 @@ fn main() {
 
     // Rank and export, exactly like the public artifact.
     let clean = sanitize(&paths, &cfg.sanitize);
-    let cones = ConeSets::compute(&clean, &inference.relationships, None, Parallelism::auto());
+    let cones = ConeSets::compute(&clean, &inference.relationships, None);
     println!("\ntop 10 by customer cone:");
     for row in rank_ases(&cones.recursive, &inference.degrees)
         .iter()

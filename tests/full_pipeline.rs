@@ -92,7 +92,7 @@ fn cone_definitions_nest_on_clean_data() {
     let (topo, sim, inference) = chain(23);
     let ixps: Vec<Asn> = topo.ixps.iter().map(|i| i.route_server).collect();
     let clean = sanitize(&sim.paths, &SanitizeConfig::with_ixps(ixps));
-    let cones = ConeSets::compute(&clean, &inference.relationships, None, Parallelism::auto());
+    let cones = ConeSets::compute(&clean, &inference.relationships, None);
     // BGP-observed ⊆ recursive holds unconditionally (observed descents
     // use exactly the p2c links whose closure is the recursive cone).
     for asn in cones.bgp_observed.ases() {
@@ -129,7 +129,7 @@ fn recursive_cone_matches_ground_truth_for_correct_inference() {
     // Where the inference is perfect (use ground truth directly), the
     // recursive cone must equal the true customer cone.
     let topo = generate(&TopologyConfig::tiny(), 3);
-    let cones = asrank::core::CustomerCones::recursive(&topo.ground_truth.relationships, None, Parallelism::auto());
+    let cones = asrank::core::CustomerCones::recursive(&topo.ground_truth.relationships, None);
     for &asn in topo.ground_truth.classes.keys() {
         let truth = topo.ground_truth.true_customer_cone(asn);
         let got: std::collections::HashSet<Asn> = cones.members(asn).iter().copied().collect();
